@@ -2,9 +2,9 @@
 
 Exit codes are part of the contract: 0 success, 1 user error (bad input
 files, bad bundle, nothing to index, a route that the bundle cannot
-serve), 2 internal processing failure, 3 upstream service failure
-(embedding or generation endpoints). Indexing takes a corpus directory
-of intermediate-JSON documents; every other command takes a bundle
+serve), 2 internal processing failure, 3 upstream service failure (the
+generation endpoint). Indexing takes a corpus directory of
+intermediate-JSON documents; every other command takes a bundle
 directory produced by `semrag index`.
 """
 
@@ -22,7 +22,7 @@ from typing import Optional
 
 import click
 
-from .cost_model import expected_retrieval_cost, scaling_curve
+from .cost_model import scaling_curve
 from .doc_model import canonical_json_bytes, load_document
 from .errors import (
     ChecksumError,
@@ -42,7 +42,7 @@ from .errors import (
     SummarizerError,
     UnsupportedConstructError,
 )
-from .graph_core import NodeType, save_graph
+from .graph_core import save_graph
 from .pipeline import Bundle, PipelineConfig, build_bundle, load_bundle, make_engine
 from .query_engine import Route
 from .sem_index import base_projection, h1, h2
@@ -393,7 +393,7 @@ def cmd_bench_indexing(sizes, k, ts, prompt_tokens, community_size, seed, out_pa
 @click.option("--json", "as_json", is_flag=True)
 @_guard
 def cmd_bench(bundle_dir, queries_path, repeat, as_json):
-    """Measure retrieval latency and the expected cost of the route mix."""
+    """Measure retrieval latency and the route mix over a question file."""
     bundle = _load(bundle_dir)
     engine = make_engine(bundle)
     questions = [
@@ -413,19 +413,6 @@ def cmd_bench(bundle_dir, queries_path, repeat, as_json):
             route_counts[route.value] += 1
     total = sum(route_counts.values())
     mix = [route_counts[r] / total for r in ("low", "med", "high")]
-    base = base_projection(bundle.graph)
-    mean_degree = (
-        2.0 * len(base.edges) / len(base.nodes) if base.nodes else 0.0
-    )
-    macros = len(bundle.graph.nodes_of_type(NodeType.MACRO_NODE))
-    cost = expected_retrieval_cost(
-        mix,
-        max(len(base.nodes), 1),
-        engine.config.max_anchors,
-        max(mean_degree, 1.0),
-        engine.config.khop,
-        macros,
-    )
     latencies.sort()
     p50 = statistics.median(latencies)
     p95 = latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))]
@@ -435,7 +422,6 @@ def cmd_bench(bundle_dir, queries_path, repeat, as_json):
         "p50_ms": round(p50, 3),
         "p95_ms": round(p95, 3),
         "route_mix": {"low": mix[0], "med": mix[1], "high": mix[2]},
-        "expected_cost": round(cost, 6),
         "ledger_tokens": bundle.clients.ledger.total_tokens(),
     }
     if as_json:
@@ -445,10 +431,7 @@ def cmd_bench(bundle_dir, queries_path, repeat, as_json):
         f"{payload['queries']} queries x{repeat}: "
         f"p50 {payload['p50_ms']} ms, p95 {payload['p95_ms']} ms"
     )
-    click.echo(
-        f"route mix low/med/high: {mix[0]:.2f}/{mix[1]:.2f}/{mix[2]:.2f}, "
-        f"expected cost {cost:.3f}"
-    )
+    click.echo(f"route mix low/med/high: {mix[0]:.2f}/{mix[1]:.2f}/{mix[2]:.2f}")
 
 
 def main():

@@ -1,155 +1,28 @@
-"""Token accounting: baseline chunking, summary budgets, retrieval cost.
+"""Token accounting: summary context against per-level prompting.
 
-The chunker is the flat-context baseline this system is compared against:
-documents are flattened to plain text (tables row-wise, equations as raw
-source, so structure is deliberately lost) and split by a sliding window
-that snaps each cut to the latest paragraph or sentence boundary inside
-its overlap zone, guaranteeing exact fixed-width overlaps and byte-exact
-reassembly.
-
-Summary token accounting separates the hierarchical scheme from the
-naive one. The hierarchical side pays for the summaries a query actually
-reads: at most k community summaries of at most the per-summary budget
-each, so its cost is bounded by k times that budget no matter how large
-the corpus grows. The naive side pays a full prompt for every community
-at every level of the hierarchy, so it grows with both corpus size and
-hierarchy depth.
+The hierarchical side pays for the summaries a query actually reads: at
+most k community summaries of at most the per-summary budget each, so its
+cost is bounded by k times that budget no matter how large the corpus
+grows. The naive side pays a full prompt for every community at every
+level of the hierarchy, so it grows with both corpus size and hierarchy
+depth. ``semrag bench-indexing`` prints this comparison over planted
+corpora of growing size.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .doc_model import SourceDocument
-from .errors import BadProbabilities
 from .graph_core import NodeType, TypedGraph
-from .llm_clients import count_tokens, offline_summarize
-from .sem_index import MinimizeResult, community_text, materialize_macronodes
+from .llm_clients import offline_summarize
+from .sem_index import MinimizeResult, materialize_macronodes
 
-logger = logging.getLogger(__name__)
-
-CHUNK_SIZE = 1024
-CHUNK_OVERLAP = 128
 DEFAULT_SUMMARY_TOKENS = 500
 DEFAULT_PROMPT_TOKENS = 500
 DEFAULT_CONTEXT_SUMMARIES = 5
-
-
-# --- flat-context baseline chunker ------------------------------------------
-
-@dataclass(frozen=True)
-class Chunk:
-    start: int
-    end: int
-    text: str
-
-
-@dataclass(frozen=True)
-class Span:
-    """One chunk of one document's flattened text."""
-
-    text: str
-    doc_id: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class ChunkSet:
-    """Sliding-window spans over flattened documents.
-
-    Spans carry no graph structure: header-cell adjacency and operator
-    trees are not recoverable from them. That is the point of the
-    baseline.
-    """
-
-    spans: tuple[Span, ...]
-    chunk_size: int
-    overlap: int
-
-
-def flatten_document(doc: SourceDocument) -> str:
-    """Reading-order plain text: tables row-wise, equations as raw source."""
-    parts = []
-    for block in doc.ordered_blocks():
-        if block.kind == "section":
-            parts.append(block.title)
-        elif block.kind == "paragraph":
-            parts.append(block.text)
-        elif block.kind == "table":
-            lines = [block.caption] if block.caption else []
-            for row in block.rows:
-                lines.append(" | ".join(cell.text for cell in row))
-            parts.append("\n".join(lines))
-        elif block.kind == "equation":
-            parts.append(block.math_src)
-    return "\n\n".join(part for part in parts if part)
-
-
-def _latest_boundary(text: str, lo: int, hi: int, separator: str) -> int:
-    """Largest position p in (lo, hi] where text[:p] ends with the separator."""
-    window_end = min(hi, len(text))
-    found = text.rfind(separator, lo, window_end)
-    while found != -1:
-        cut = found + len(separator)
-        if lo < cut <= hi:
-            return cut
-        found = text.rfind(separator, lo, found)
-    return -1
-
-
-def chunk_text(
-    text: str, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP
-) -> list[Chunk]:
-    """Boundary-snapped sliding window with exact fixed-width overlaps.
-
-    Each cut lands after the latest paragraph break, else sentence break,
-    inside (start+overlap, start+size]; the next window starts exactly
-    `overlap` characters before the cut. Reassembly via de_overlap is
-    byte-exact.
-    """
-    if size <= 0 or overlap < 0 or overlap >= size:
-        raise ValueError(f"need 0 <= overlap < size, got size={size} overlap={overlap}")
-    if not text:
-        return []
-    chunks: list[Chunk] = []
-    start = 0
-    while True:
-        if len(text) - start <= size:
-            chunks.append(Chunk(start, len(text), text[start:]))
-            return chunks
-        limit = start + size
-        cut = _latest_boundary(text, start + overlap, limit, "\n\n")
-        if cut == -1:
-            cut = _latest_boundary(text, start + overlap, limit, ". ")
-        if cut == -1:
-            cut = limit
-        chunks.append(Chunk(start, cut, text[start:cut]))
-        start = cut - overlap
-
-
-def chunk(
-    doc: SourceDocument, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERLAP
-) -> ChunkSet:
-    """Flatten one document and window it into overlapping spans."""
-    text = flatten_document(doc)
-    spans = tuple(
-        Span(c.text, doc.id, c.start, c.end) for c in chunk_text(text, size, overlap)
-    )
-    return ChunkSet(spans=spans, chunk_size=size, overlap=overlap)
-
-
-def de_overlap(chunks: Sequence[Chunk | Span], overlap: int = CHUNK_OVERLAP) -> str:
-    """Invert chunking: the first chunk whole, later ones minus the overlap."""
-    if not chunks:
-        return ""
-    parts = [chunks[0].text]
-    parts.extend(c.text[overlap:] for c in chunks[1:])
-    return "".join(parts)
 
 
 # --- summary token accounting -----------------------------------------------
@@ -158,26 +31,6 @@ def _ranked_communities(result: MinimizeResult) -> list[str]:
     """Community keys largest first, ties by key; the heaviest plausible
     query context is the first k of these."""
     return sorted(result.communities, key=lambda k: (-len(result.communities[k]), k))
-
-
-def sem_tokens(
-    g: TypedGraph,
-    result: MinimizeResult,
-    budget_tokens: int = DEFAULT_SUMMARY_TOKENS,
-    k: int = DEFAULT_CONTEXT_SUMMARIES,
-) -> int:
-    """Summary tokens a query context pays: the k largest communities,
-    each capped at the per-summary budget.
-
-    Only the final partition enters; the depth of the level hierarchy
-    does not appear, so runs that snapshot differently but agree on the
-    final partition cost the same.
-    """
-    total = 0
-    for key in _ranked_communities(result)[:k]:
-        text = community_text(g, result.communities[key])
-        total += min(count_tokens(text), budget_tokens)
-    return total
 
 
 def simulate_baseline_hierarchy(
@@ -190,12 +43,6 @@ def simulate_baseline_hierarchy(
 
 def level_sizes(result: MinimizeResult) -> list[int]:
     return [len(set(level.values())) for level in result.levels]
-
-
-def baseline_tokens(
-    result: MinimizeResult, prompt_tokens: int = DEFAULT_PROMPT_TOKENS
-) -> int:
-    return simulate_baseline_hierarchy(level_sizes(result), prompt_tokens)
 
 
 def _offline_summary(text: str, budget: int) -> tuple[str, int]:
@@ -282,35 +129,3 @@ def scaling_curve(
             }
         )
     return rows
-
-
-# --- expected retrieval cost ------------------------------------------------
-
-def expected_retrieval_cost(
-    route_probabilities: Sequence[float],
-    n_nodes: int,
-    anchors: int,
-    effective_degree: float,
-    khop: int,
-    n_macros: int,
-) -> float:
-    """Expected work per query under the routing mix.
-
-    Low pays a logarithmic index probe, med pays anchor expansion that is
-    exponential in the hop bound, high pays one pass over the summaries.
-    """
-    probs = list(route_probabilities)
-    if len(probs) != 3:
-        raise BadProbabilities(f"expected three route probabilities, got {len(probs)}")
-    if any(p < 0 for p in probs):
-        raise BadProbabilities(f"negative probability in {probs}")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise BadProbabilities(f"probabilities sum to {sum(probs)}, expected 1")
-    if n_nodes < 1:
-        raise ValueError("cost model needs at least one node")
-    p_low, p_med, p_high = probs
-    return (
-        p_low * math.log2(n_nodes)
-        + p_med * anchors * effective_degree**khop
-        + p_high * n_macros
-    )

@@ -7,7 +7,9 @@ path), expands table cell spans into a rectangular ownership grid, and
 provides the canonical serialization used by every golden test: UTF-8,
 sorted object keys, compact separators, shortest round-trip floats.
 
-Schema field names are frozen; see docs/intermediate_json_schema.md.
+Schema field names are frozen. load_document and the _parse_* readers it
+calls define them, with the required keys of each object; serialize
+writes the same layout back.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ callers (and the CLI) can separate expected failures from genuine bugs.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SemragError(Exception):
     """Base class for all package-specific errors."""
@@ -138,10 +140,6 @@ class NoMacroNodes(SemragError):
     """High route requested but the graph holds no macro nodes."""
 
 
-class BadProbabilities(SemragError):
-    """Route probabilities are negative or do not sum to 1."""
-
-
 class DanglingNode(SemragError):
     """Verbalization was asked for a node missing from the graph."""
 
@@ -153,12 +151,14 @@ class GeneratorError(SemragError):
 # --- llm clients ------------------------------------------------------------
 
 class HttpError(SemragError):
-    """Remote call failed after retries; carries status and a body excerpt."""
+    """Remote call failed: no response, a non-200 status, or a body that is
+    not JSON or lacks the expected fields. Carries the status (None without
+    a response) and a body excerpt."""
 
-    def __init__(self, status: int, body: str):
+    def __init__(self, status: Optional[int], body: str):
         self.status = status
         self.body = body[:200]
-        super().__init__(f"HTTP {status}: {self.body}")
+        super().__init__(self.body if status is None else f"HTTP {status}: {self.body}")
 
 
 class BudgetExceeded(SemragError):

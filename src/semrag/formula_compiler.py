@@ -2,7 +2,7 @@
 
 The pipeline is normalize_math -> parse_math -> compile_formula. The
 normalizer rewrites a small LaTeX subset into plain operator text with
-bit-exact rules (see docs/math_normalization.md); the parser builds an
+bit-exact rules (listed in normalize_math's docstring); the parser builds an
 immutable expression tree; print_math emits the one canonical rendering
 that parses back to the identical tree. compile_formula turns the tree
 into Operator/Variable/Constant nodes where each distinct variable name
@@ -259,7 +259,7 @@ def _tokenize(s: str) -> list[_Token]:
     while i < len(s):
         m = _TOKEN.match(s, i)
         if m is None:
-            raise ParseError(i, "a number, name, or operator", s[i])
+            raise ParseError(i, ("a number, name, or operator",), s[i])
         if m.lastgroup != "ws":
             tokens.append(_Token(m.lastgroup, m.group(0), i))
         i = m.end()
@@ -278,23 +278,23 @@ class _Parser:
     def take(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError(len(self.text), "more input", "end of input")
+            raise ParseError(len(self.text), ("more input",), "end of input")
         self.pos += 1
         return tok
 
     def expect(self, value: str) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError(len(self.text), repr(value), "end of input")
+            raise ParseError(len(self.text), (value,), "end of input")
         if tok.value != value:
-            raise ParseError(tok.offset, repr(value), repr(tok.value))
+            raise ParseError(tok.offset, (value,), repr(tok.value))
         return self.take()
 
     def parse(self) -> MathAST:
         node = self.equation()
         tok = self.peek()
         if tok is not None:
-            raise ParseError(tok.offset, "end of input", repr(tok.value))
+            raise ParseError(tok.offset, ("end of input",), repr(tok.value))
         return node
 
     def equation(self) -> MathAST:
@@ -304,7 +304,7 @@ class _Parser:
             right = self.additive()
             if self.peek() is not None and self.peek().value == "=":
                 raise ParseError(
-                    self.peek().offset, "a single equality", "chained '='"
+                    self.peek().offset, ("a single equality",), "chained '='"
                 )
             return BinOp("=", left, right)
         return left
@@ -351,13 +351,13 @@ class _Parser:
             node = self.equation()
             self.expect(")")
             return node
-        raise ParseError(tok.offset, "a value or '('", repr(tok.value))
+        raise ParseError(tok.offset, ("a value", "("), repr(tok.value))
 
     def call(self, name_tok: _Token) -> MathAST:
         name = name_tok.value
         if name not in KNOWN_CALLS:
             raise ParseError(
-                name_tok.offset, f"one of {', '.join(KNOWN_CALLS)}", repr(name)
+                name_tok.offset, KNOWN_CALLS, repr(name)
             )
         self.expect("(")
         args: list[MathAST] = [self.additive()]
@@ -368,21 +368,21 @@ class _Parser:
         if name == "sum":
             if len(args) != 4:
                 raise ParseError(
-                    name_tok.offset, "sum(index, lo, hi, body)", f"{len(args)} arguments"
+                    name_tok.offset, ("sum(index, lo, hi, body)",), f"{len(args)} arguments"
                 )
             if not isinstance(args[0], Var):
                 raise ParseError(
-                    name_tok.offset, "an index variable as first sum argument",
+                    name_tok.offset, ("an index variable as first sum argument",),
                     type(args[0]).__name__,
                 )
         elif name in ("min", "max"):
             if len(args) != 2:
                 raise ParseError(
-                    name_tok.offset, f"{name}(a, b)", f"{len(args)} arguments"
+                    name_tok.offset, (f"{name}(a, b)",), f"{len(args)} arguments"
                 )
         elif len(args) != 1:
             raise ParseError(
-                name_tok.offset, f"{name} with one argument", f"{len(args)} arguments"
+                name_tok.offset, (f"{name} with one argument",), f"{len(args)} arguments"
             )
         return Call(name, tuple(args))
 

@@ -1,16 +1,18 @@
-"""Embedding and generation clients with deterministic offline fallbacks.
+"""Generation clients with a deterministic offline fallback.
 
-Remote clients speak an OpenAI-compatible wire protocol; their offline
-twins are pure functions of their inputs, so an offline run is bit-for-bit
-reproducible. Selection happens in make_clients: explicit request, the
-SEMRAG_OFFLINE=1 environment variable, or missing endpoints all pick the
-offline pair.
+The remote client speaks an OpenAI-compatible chat protocol; its offline
+twin is a pure function of its input, so an offline run is bit-for-bit
+reproducible. Selection happens in make_clients: an explicit request, the
+SEMRAG_OFFLINE=1 environment variable, or no SEMRAG_LLM_ENDPOINT all pick
+the offline client. Retrieval embeds text itself (vector_align.embed_text)
+and needs no client.
 
-The offline generator understands the evidence prompt layout documented in
-docs/prompt_template.md: it answers by echoing each evidence statement with
-its clause citation, which keeps end-to-end answering testable without a
-model. The offline summarizer is extractive: the first sentence of the
-first line that has sentence punctuation, under a whitespace token budget.
+The offline generator understands the evidence prompt layout that
+query_engine.build_prompt writes: it answers by echoing the first evidence
+statement's object with its clause citation, which keeps end-to-end
+answering testable without a model. The offline summarizer is extractive:
+the first sentence of the first line that has sentence punctuation, under
+a whitespace token budget.
 
 A TokenLedger aggregates token counts and wall time per operation and can
 enforce a hard budget.
@@ -25,16 +27,14 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import requests
 
 from .errors import BudgetExceeded, HttpError
-from .vector_align import EMBED_DIM, embed_text
 
 logger = logging.getLogger(__name__)
 
-ENV_EMBED_ENDPOINT = "SEMRAG_EMBED_ENDPOINT"
 ENV_LLM_ENDPOINT = "SEMRAG_LLM_ENDPOINT"
 ENV_API_KEY_VAR = "SEMRAG_API_KEY_VAR"
 ENV_OFFLINE = "SEMRAG_OFFLINE"
@@ -84,37 +84,11 @@ class TokenLedger:
 
 # --- protocols --------------------------------------------------------------
 
-class EmbedClient(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[list[float]]: ...
-
-
 class LlmClient(Protocol):
     def generate(self, prompt: str, max_tokens: int = 256) -> str: ...
 
 
 # --- offline clients --------------------------------------------------------
-
-class OfflineEmbedClient:
-    """Hash-based embeddings; identical output for identical input, always."""
-
-    model = "offline-hash-256"
-
-    def __init__(self, dim: int = EMBED_DIM, ledger: Optional[TokenLedger] = None):
-        self.dim = dim
-        self.ledger = ledger
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        start = time.perf_counter()
-        out = [embed_text(t, self.dim).tolist() for t in texts]
-        if self.ledger is not None:
-            self.ledger.record(
-                "embed",
-                sum(count_tokens(t) for t in texts),
-                0,
-                (time.perf_counter() - start) * 1000.0,
-            )
-        return out
-
 
 _EVIDENCE_LINE = re.compile(r"^\[\d+\]\s+(.*)\s+\(clause\s+([^,)]+),[^)]*\)$")
 
@@ -236,37 +210,14 @@ def _post(url: str, payload: dict) -> dict:
         )
     except requests.Timeout as exc:
         raise TimeoutError(f"no response from {url} within {HTTP_TIMEOUT_SECONDS}s") from exc
+    except requests.RequestException as exc:
+        raise HttpError(None, f"request to {url} failed: {exc}") from exc
     if response.status_code != 200:
         raise HttpError(response.status_code, response.text)
-    return response.json()
-
-
-class HttpEmbedClient:
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "text-embedding",
-        ledger: Optional[TokenLedger] = None,
-    ):
-        self.endpoint = endpoint.rstrip("/")
-        self.model = model
-        self.ledger = ledger
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        start = time.perf_counter()
-        body = _post(
-            f"{self.endpoint}/v1/embeddings",
-            {"model": self.model, "input": list(texts)},
-        )
-        vectors = [row["embedding"] for row in body["data"]]
-        if self.ledger is not None:
-            self.ledger.record(
-                "embed",
-                sum(count_tokens(t) for t in texts),
-                0,
-                (time.perf_counter() - start) * 1000.0,
-            )
-        return vectors
+    try:
+        return response.json()
+    except requests.JSONDecodeError as exc:
+        raise HttpError(response.status_code, f"undecodable body: {response.text}") from exc
 
 
 class HttpLlmClient:
@@ -290,7 +241,10 @@ class HttpLlmClient:
                 "max_tokens": max_tokens,
             },
         )
-        text = body["choices"][0]["message"]["content"]
+        try:
+            text = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise HttpError(200, f"no completion in response: {body!r}") from exc
         if self.ledger is not None:
             self.ledger.record(
                 "generate",
@@ -305,39 +259,22 @@ class HttpLlmClient:
 
 @dataclass
 class Clients:
-    embed: EmbedClient
     llm: LlmClient
-    offline: bool
     ledger: TokenLedger = field(default_factory=TokenLedger)
 
 
 def make_clients(
     offline: Optional[bool] = None, ledger: Optional[TokenLedger] = None
 ) -> Clients:
-    """Pick remote clients when endpoints are configured, offline otherwise.
+    """Pick the remote client when SEMRAG_LLM_ENDPOINT is set, offline otherwise.
 
-    SEMRAG_OFFLINE=1 forces the offline pair regardless of endpoints; an
-    explicit `offline` argument overrides everything.
+    SEMRAG_OFFLINE=1 forces the offline client regardless of the endpoint;
+    an explicit `offline` argument overrides everything.
     """
     ledger = ledger if ledger is not None else TokenLedger()
-    embed_endpoint = os.environ.get(ENV_EMBED_ENDPOINT)
     llm_endpoint = os.environ.get(ENV_LLM_ENDPOINT)
     if offline is None:
-        offline = (
-            os.environ.get(ENV_OFFLINE) == "1"
-            or not embed_endpoint
-            or not llm_endpoint
-        )
+        offline = os.environ.get(ENV_OFFLINE) == "1" or not llm_endpoint
     if offline:
-        return Clients(
-            embed=OfflineEmbedClient(ledger=ledger),
-            llm=OfflineLlmClient(ledger=ledger),
-            offline=True,
-            ledger=ledger,
-        )
-    return Clients(
-        embed=HttpEmbedClient(embed_endpoint, ledger=ledger),
-        llm=HttpLlmClient(llm_endpoint, ledger=ledger),
-        offline=False,
-        ledger=ledger,
-    )
+        return Clients(llm=OfflineLlmClient(ledger=ledger), ledger=ledger)
+    return Clients(llm=HttpLlmClient(llm_endpoint, ledger=ledger), ledger=ledger)

@@ -3,9 +3,9 @@
 compile_corpus runs every compiler over every document and merges the
 fragments; build_bundle adds the entropy index, community summaries, and a
 checksummed on-disk bundle whose manifest is byte-identical across offline
-runs (no timestamps, sorted keys). load_bundle verifies and rebuilds; and
-make_engine wires the graph to the retrieval engine with optional trained
-view alignment.
+runs (no timestamps, sorted keys). load_bundle verifies the checksums
+and fails closed on a missing member, and make_engine wires the loaded
+graph, vectors and optional alignment to the retrieval engine.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .doc_model import (
     canonical_json_bytes,
     validate_corpus,
 )
-from .errors import ChecksumError, FormatVersionError
+from .errors import ChecksumError, FormatVersionError, SchemaError
 from .formula_compiler import Var, compile_formula, link_symbol_definitions
 from .graph_core import RelationType, TypedGraph, load_graph, merge_units, save_graph
 from .layout_compiler import compile_table, compile_text
@@ -140,8 +140,8 @@ class Bundle:
     graph: TypedGraph
     index: MinimizeResult
     config: PipelineConfig
+    vectors: tuple
     clients: Optional[Clients] = None
-    vectors: Optional[tuple] = None
     alignment: Optional[AlignResult] = None
     router: Optional[RouterModel] = None
 
@@ -248,21 +248,25 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         raise FormatVersionError(
             f"unknown bundle format version {manifest.get('format_version')!r}"
         )
-    for name, expected in manifest["checksums"].items():
+    members = manifest["checksums"]
+    required = ["vectors.json", "vectors.bin"]
+    if manifest["config"].get("align"):
+        required.append("align.json")
+    for name in required:
+        if name not in members:
+            raise SchemaError("/checksums", f"bundle manifest lists no {name}")
+    for name, expected in members.items():
         actual = hashlib.sha256((src / name).read_bytes()).hexdigest()
         if actual != expected:
             raise ChecksumError(f"bundle member {name} does not match its checksum")
     graph = load_graph(src)
     index = _index_from_json(json.loads((src / "index.json").read_text("utf-8")))
     cfg = PipelineConfig(**manifest["config"])
-    vectors = None
-    if "vectors.json" in manifest["checksums"]:
-        vectors = load_vectors(src)
     alignment = None
-    if "align.json" in manifest["checksums"]:
+    if "align.json" in members:
         alignment = load_alignment(src / "align.json")
     router = None
-    if "router.json" in manifest["checksums"]:
+    if "router.json" in members:
         router = RouterModel.from_json(
             json.loads((src / "router.json").read_text("utf-8"))
         )
@@ -272,7 +276,7 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         index=index,
         config=cfg,
         clients=clients or make_clients(offline=cfg.offline),
-        vectors=vectors,
+        vectors=load_vectors(src),
         alignment=alignment,
         router=router,
     )
@@ -284,26 +288,15 @@ def make_engine(
     bundle: Bundle,
     router: Optional[RouterModel] = None,
 ) -> QueryEngine:
-    """Retrieval engine over a bundle, honoring its alignment setting.
-
-    Persisted vectors and models are reused; a bundle from before either
-    existed falls back to recomputing them from the graph.
-    """
+    """Retrieval engine over a bundle's graph, vectors and alignment."""
     cfg = bundle.config
-    retrieval = RetrievalConfig(
-        budget=cfg.budget,
-        khop=cfg.khop,
-        summary_budget_tokens=cfg.summary_budget_tokens,
-    )
     alignment = bundle.alignment
-    if cfg.align and alignment is None:
-        alignment = train_alignment(bundle.graph, seed=cfg.seed)
     return QueryEngine(
         bundle.graph,
-        config=retrieval,
+        bundle.vectors,
+        config=RetrievalConfig(budget=cfg.budget, khop=cfg.khop),
         router=router if router is not None else bundle.router,
         w_topo=alignment.w_topo if alignment is not None else None,
-        vectors=bundle.vectors,
     )
 
 

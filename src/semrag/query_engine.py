@@ -9,16 +9,18 @@ records that carry full provenance:
   hops along structural relations, candidates re-ranked by similarity;
 - high: community summary nodes matched against the query.
 
+The query text is embedded once per retrieval; the hit-entropy feature
+and the chosen strategy both score against that one vector.
+
 The router has a deterministic rule fallback and an optional trained
-classifier (a small seeded MLP over standardized features). Verbalization
-turns each node kind into one English statement; build_prompt lays the
-records out in the evidence format the offline generator understands
-(docs/prompt_template.md).
+classifier (a small seeded MLP over standardized features).
+evidence_record turns each node kind into one English statement;
+build_prompt lays the records out as numbered evidence lines, the layout
+that llm_clients.OfflineLlmClient parses back.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 import time
@@ -40,8 +42,6 @@ from .layout_compiler import CellHit, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
 from .vector_align import TOPO_DIM, embed_text, fused_embedding, topo_feature
-
-logger = logging.getLogger(__name__)
 
 
 class Route(Enum):
@@ -93,8 +93,6 @@ class RetrievalConfig:
     anchor_hits: int = 3
     max_anchors: int = 4
     macro_limit: int = 5
-    summary_budget_tokens: int = 500
-    log_misroute: bool = False
 
 
 def retrieval_text(g: TypedGraph, node_id: str) -> str:
@@ -267,22 +265,6 @@ def evidence_record(
         route=route.value,
         hop=hop,
     )
-
-
-def verbalize(
-    g: TypedGraph,
-    node_ids: Sequence[str],
-    route: Route = Route.LOW,
-    scores: Optional[Sequence[float]] = None,
-    hops: Optional[Sequence[Optional[int]]] = None,
-) -> list[EvidenceRecord]:
-    """Evidence records for a retrieved node list, in the order given."""
-    out = []
-    for i, nid in enumerate(node_ids):
-        score = scores[i] if scores is not None else 0.0
-        hop = hops[i] if hops is not None else None
-        out.append(evidence_record(g, nid, score, route, hop))
-    return out
 
 
 # --- router -----------------------------------------------------------------
@@ -476,11 +458,10 @@ def index_vectors(
 ) -> tuple[list[str], np.ndarray]:
     """Fused embeddings for every indexable node, rows sorted by node id.
 
-    The text half is the unprojected hashed text, so a text-only query
-    ranks nodes by lexical cosine whether or not the bundle is aligned; a
-    trained ``w_topo`` projects the topology half only. The trained text
-    projection maps text onto the aligner's simplex and discards the
-    lexical detail that ranking needs.
+    The text half is the unprojected hashed text; a trained ``w_topo``
+    projects the topology half. QueryEngine.embed_query gives every query
+    a zero topology half, so a score is the text cosine over sqrt(2) and
+    neither the topology half nor ``w_topo`` enters it, aligned or not.
     """
     indexed = set(INDEXED_TYPES)
     ids = []
@@ -502,62 +483,57 @@ def index_vectors(
 
 
 class QueryEngine:
-    """Vector index plus router plus retrieval over one compiled graph."""
+    """Vector index plus router plus retrieval over one compiled graph.
+
+    ``vectors`` is the persisted index, ``(node ids, matrix)`` as
+    index_vectors computes it; its ids must be exactly the graph's
+    indexable nodes in id order.
+    """
 
     def __init__(
         self,
         g: TypedGraph,
+        vectors: tuple[Sequence[str], np.ndarray],
         config: Optional[RetrievalConfig] = None,
         router: Optional[RouterModel] = None,
         w_topo: Optional[np.ndarray] = None,
-        vectors: Optional[tuple[Sequence[str], np.ndarray]] = None,
     ):
         self.g = g
         self.config = config or RetrievalConfig()
         self.router = router
         self.w_topo = w_topo
-        self._ids: list[str] = []
-        self._types: list[NodeType] = []
-        self._matrix: Optional[np.ndarray] = None
-        self._gazetteer: dict[str, str] = {}
-        self._build(vectors)
-
-    def _build(self, vectors: Optional[tuple[Sequence[str], np.ndarray]]) -> None:
-        if vectors is not None:
-            ids, matrix = list(vectors[0]), np.asarray(vectors[1], dtype=np.float64)
-            expected = [
-                nid
-                for nid in sorted(self.g.nodes)
-                if self.g.nodes[nid].type in set(INDEXED_TYPES)
-            ]
-            if ids != expected:
-                raise SchemaError(
-                    "/vectors/ids",
-                    "precomputed vectors do not cover the graph's indexable nodes",
-                )
-        else:
-            ids, matrix = index_vectors(self.g, self.w_topo)
+        ids, matrix = list(vectors[0]), np.asarray(vectors[1], dtype=np.float64)
+        indexed = set(INDEXED_TYPES)
+        expected = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
+        if ids != expected:
+            raise SchemaError(
+                "/vectors/ids",
+                "precomputed vectors do not cover the graph's indexable nodes",
+            )
         self._ids = ids
-        self._types = [self.g.nodes[nid].type for nid in ids]
-        self._matrix = matrix if matrix.size else None
-        for node in self.g.nodes_of_type(NodeType.TERM):
+        self._types = [g.nodes[nid].type for nid in ids]
+        self._matrix: Optional[np.ndarray] = matrix if matrix.size else None
+        self._gazetteer: dict[str, str] = {}
+        for node in g.nodes_of_type(NodeType.TERM):
             surfaces = set(node.attrs.get("surfaces", [])) | {node.text}
             for surface in surfaces:
                 if surface.strip():
                     self._gazetteer.setdefault(surface, node.id)
 
     def embed_query(self, text: str) -> np.ndarray:
+        """The query's fused vector: hashed text and a zero topology half."""
         return fused_embedding(
             embed_text(text), np.zeros(TOPO_DIM), w_topo=self.w_topo
         )
 
     def search(
         self,
-        text: str,
+        query: np.ndarray,
         k: int,
         types: Optional[Sequence[NodeType]] = None,
     ) -> list[tuple[str, float]]:
-        """Top-k nodes by fused cosine, ties broken by node id."""
+        """Top-k nodes by fused cosine with an embedded query, ties broken
+        by node id."""
         allowed = set(types) if types is not None else None
         mask = [
             allowed is None or t in allowed for t in self._types
@@ -567,7 +543,6 @@ class QueryEngine:
                 "vector index holds no nodes"
                 + (f" of types {sorted(t.value for t in allowed)}" if allowed else "")
             )
-        query = self.embed_query(text)
         scores = self._matrix @ query
         ranked = sorted(
             (
@@ -579,19 +554,15 @@ class QueryEngine:
         )
         return ranked[: max(k, 0)]
 
-    def similarity(self, text: str, node_id: str) -> float:
-        index = self._ids.index(node_id)
-        return float(self._matrix[index] @ self.embed_query(text))
-
     # -- features and routing --
 
-    def hit_entropy(self, text: str) -> float:
+    def hit_entropy(self, query: np.ndarray) -> float:
         """Entropy in bits of the softmax over the strongest hit scores.
 
         An empty index reads as maximally uncertain.
         """
         try:
-            hits = self.search(text, HIT_ENTROPY_TOP)
+            hits = self.search(query, HIT_ENTROPY_TOP)
         except EmptyIndex:
             return math.log2(HIT_ENTROPY_TOP)
         scores = np.array([s for _, s in hits], dtype=np.float64)
@@ -624,16 +595,17 @@ class QueryEngine:
         }
         return len(nodes) + len(acronyms)
 
-    def features(self, text: str) -> list[float]:
+    def features(self, text: str, query: np.ndarray) -> list[float]:
+        """Router features of a query's text and its embedded vector."""
         return [
             float(count_tokens(text)),
             float(self.entity_count(text)),
             1.0 if SYMBOLIC_PATTERN.search(text) else 0.0,
-            self.hit_entropy(text),
+            self.hit_entropy(query),
         ]
 
-    def route(self, text: str) -> tuple[Route, list[float]]:
-        features = self.features(text)
+    def route(self, text: str, query: np.ndarray) -> tuple[Route, list[float]]:
+        features = self.features(text, query)
         if self.router is not None and self.router.w1 is not None:
             return self.router.predict(features), features
         return rule_route(features), features
@@ -643,36 +615,32 @@ class QueryEngine:
     def retrieve(
         self, text: str, route: Optional[Route] = None
     ) -> tuple[Route, list[float], list[EvidenceRecord]]:
+        query = self.embed_query(text)
         if route is not None:
-            chosen, features = route, self.features(text)
+            chosen, features = route, self.features(text, query)
         else:
-            chosen, features = self.route(text)
-        if self.config.log_misroute:
-            order = (Route.LOW, Route.MED, Route.HIGH)
-            delta = abs(order.index(chosen) - order.index(rule_route(features)))
-            if delta:
-                logger.info("route distance from rule fallback: %d", delta)
+            chosen, features = self.route(text, query)
         if chosen == Route.LOW:
-            records = self._retrieve_low(text)
+            records = self._retrieve_low(query)
         elif chosen == Route.MED:
-            records = self._retrieve_med(text)
+            records = self._retrieve_med(text, query)
         else:
-            records = self._retrieve_high(text)
+            records = self._retrieve_high(query)
         return chosen, features, records
 
-    def _retrieve_low(self, text: str) -> list[EvidenceRecord]:
+    def _retrieve_low(self, query: np.ndarray) -> list[EvidenceRecord]:
         hits = self.search(
-            text, self.config.budget, types=(NodeType.PARAGRAPH, NodeType.CELL)
+            query, self.config.budget, types=(NodeType.PARAGRAPH, NodeType.CELL)
         )
         return [
             evidence_record(self.g, nid, score, Route.LOW) for nid, score in hits
         ]
 
-    def _anchors(self, text: str) -> list[str]:
+    def _anchors(self, text: str, query: np.ndarray) -> list[str]:
         anchors = self.entity_matches(text)[: self.config.max_anchors]
         if len(anchors) < self.config.max_anchors:
             try:
-                hits = self.search(text, self.config.anchor_hits)
+                hits = self.search(query, self.config.anchor_hits)
             except EmptyIndex:
                 hits = []
             for nid, _ in hits:
@@ -682,14 +650,13 @@ class QueryEngine:
                     break
         return anchors
 
-    def _retrieve_med(self, text: str) -> list[EvidenceRecord]:
-        anchors = self._anchors(text)
+    def _retrieve_med(self, text: str, query: np.ndarray) -> list[EvidenceRecord]:
+        anchors = self._anchors(text, query)
         if not anchors:
             return []
         subgraph = khop_expand(
             self.g, set(anchors), self.config.khop, set(EXPAND_RELATIONS)
         )
-        query = self.embed_query(text)
         id_index = {nid: i for i, nid in enumerate(self._ids)}
         verbalizable = set(VERBALIZABLE_TYPES)
         candidates = []
@@ -717,7 +684,7 @@ class QueryEngine:
             for nid, score, hop in candidates[: self.config.budget]
         ]
 
-    def _retrieve_high(self, text: str) -> list[EvidenceRecord]:
+    def _retrieve_high(self, query: np.ndarray) -> list[EvidenceRecord]:
         macros = self.g.nodes_of_type(NodeType.MACRO_NODE)
         if not macros:
             raise NoMacroNodes(
@@ -725,7 +692,7 @@ class QueryEngine:
             )
         try:
             hits = self.search(
-                text, self.config.macro_limit, types=(NodeType.MACRO_NODE,)
+                query, self.config.macro_limit, types=(NodeType.MACRO_NODE,)
             )
         except EmptyIndex:
             # macros exist in the graph but were added after the index build
@@ -752,13 +719,11 @@ class QueryEngine:
         self, text: str, client: LlmClient, route: Optional[Route] = None
     ) -> AnswerResult:
         t0 = time.perf_counter()
-        self.embed_query(text)
-        t1 = time.perf_counter()
         chosen, features, records = self.retrieve(text, route=route)
-        t2 = time.perf_counter()
+        t1 = time.perf_counter()
         prompt = build_prompt(text, records)
         reply = client.generate(prompt)
-        t3 = time.perf_counter()
+        t2 = time.perf_counter()
         return AnswerResult(
             question=text,
             route=chosen.value,
@@ -767,8 +732,7 @@ class QueryEngine:
             prompt=prompt,
             answer=reply,
             latency_ms={
-                "alignment_ms": (t1 - t0) * 1000.0,
-                "retrieval_ms": (t2 - t1) * 1000.0,
-                "generation_ms": (t3 - t2) * 1000.0,
+                "retrieval_ms": (t1 - t0) * 1000.0,
+                "generation_ms": (t2 - t1) * 1000.0,
             },
         )

@@ -7,11 +7,11 @@ to a shared simplex via temperature softmax and trains the projections with
 full-batch Adam so matched pairs have low Jensen-Shannon divergence while
 mismatched pairs are pushed out to a margin.
 
-Fused embeddings normalize each view before concatenation; a query that
-supplies only text therefore ranks nodes purely by text cosine, and the
-topology view refines ranking only between equally matched texts. The
-retrieval index takes that cosine on the unprojected text, and only the
-topology half carries the trained projection.
+Fused embeddings normalize each view before concatenation. Retrieval
+embeds a query with a zero topology half, so a node's score is its text
+cosine (on the unprojected text) over sqrt(2): neither the topology view
+nor the trained projections enter any retrieval score. Alignment changes
+only the stored topology half of each node vector, which no query reads.
 """
 
 from __future__ import annotations

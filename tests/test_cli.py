@@ -1,0 +1,130 @@
+"""The CLI exit-code contract and client selection.
+
+0 success, 1 user error, 2 internal failure, 3 upstream failure. No test
+reaches the network: ``requests.post`` is replaced in every test that
+builds an online client.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+import requests
+from click.testing import CliRunner
+
+from semrag.cli import EXIT_UPSTREAM_ERROR, EXIT_USER_ERROR, cli
+from semrag.doc_model import serialize
+from semrag.llm_clients import (
+    ENV_LLM_ENDPOINT,
+    ENV_OFFLINE,
+    HttpLlmClient,
+    OfflineLlmClient,
+    make_clients,
+)
+from semrag.pipeline import PipelineConfig, build_bundle
+from semrag.synth import synthetic_corpus
+
+QUESTION = "value of param000 under Limit00 Maximum"
+
+
+@pytest.fixture
+def env(monkeypatch):
+    for name in (ENV_LLM_ENDPOINT, ENV_OFFLINE):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def online_bundle(tmp_path, env):
+    """A bundle whose config asks for the remote generator at query time."""
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    out = tmp_path / "bundle"
+    build_bundle(
+        corpus.docs, corpus.gazetteer, out,
+        config=PipelineConfig(offline=False),
+        clients=make_clients(offline=True),
+    )
+    env.setenv(ENV_LLM_ENDPOINT, "http://localhost:9")
+    return out
+
+
+def _response(status: int, body: bytes) -> requests.Response:
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    return response
+
+
+def _query(bundle: Path):
+    return CliRunner().invoke(cli, ["query", str(bundle), QUESTION])
+
+
+def test_connection_error_at_query_time_is_upstream(online_bundle, env):
+    def refuse(*args, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    env.setattr(requests, "post", refuse)
+    result = _query(online_bundle)
+    assert result.exit_code == EXIT_UPSTREAM_ERROR, result.output
+
+
+def test_undecodable_body_is_upstream(online_bundle, env):
+    env.setattr(requests, "post", lambda *a, **k: _response(200, b"<html>busy</html>"))
+    result = _query(online_bundle)
+    assert result.exit_code == EXIT_UPSTREAM_ERROR, result.output
+
+
+def test_body_without_completion_is_upstream(online_bundle, env):
+    env.setattr(requests, "post", lambda *a, **k: _response(200, b'{"error": "busy"}'))
+    result = _query(online_bundle)
+    assert result.exit_code == EXIT_UPSTREAM_ERROR, result.output
+
+
+def test_error_status_is_upstream(online_bundle, env):
+    env.setattr(requests, "post", lambda *a, **k: _response(503, b"overloaded"))
+    result = _query(online_bundle)
+    assert result.exit_code == EXIT_UPSTREAM_ERROR, result.output
+
+
+def test_remote_answer_is_printed(online_bundle, env):
+    reply = {"choices": [{"message": {"content": "10 dBm (clause 1.2)"}}]}
+    env.setattr(requests, "post", lambda *a, **k: _response(200, json.dumps(reply).encode()))
+    result = _query(online_bundle)
+    assert result.exit_code == 0, result.output
+    assert "answer: 10 dBm (clause 1.2)" in result.output
+
+
+def test_empty_corpus_directory_is_user_error(tmp_path, env):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    result = CliRunner().invoke(cli, ["index", str(corpus), "--out", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+
+
+def test_corrupted_bundle_is_user_error(tmp_path, env):
+    corpus = synthetic_corpus(n_docs=2, seed=0)
+    src = tmp_path / "corpus"
+    src.mkdir()
+    for doc in corpus.docs:
+        (src / f"{doc.id}.json").write_bytes(serialize(doc))
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(src), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    assert runner.invoke(cli, ["query", str(out), QUESTION]).exit_code == 0
+    nodes = out / "nodes.jsonl"
+    data = bytearray(nodes.read_bytes())
+    data[10] ^= 0x01
+    nodes.write_bytes(bytes(data))
+    result = runner.invoke(cli, ["query", str(out), QUESTION])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+
+
+def test_llm_endpoint_alone_selects_the_remote_client(env):
+    env.setenv(ENV_LLM_ENDPOINT, "http://localhost:9")
+    assert isinstance(make_clients().llm, HttpLlmClient)
+    env.setenv(ENV_OFFLINE, "1")
+    assert isinstance(make_clients().llm, OfflineLlmClient)
+

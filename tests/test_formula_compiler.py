@@ -165,6 +165,16 @@ def test_parse_error_carries_offset_and_expectation():
     assert err.value.offset == 6
 
 
+def test_parse_error_lists_expected_tokens_whole():
+    with pytest.raises(ParseError) as err:
+        parse_math("(a + b")
+    assert err.value.expected == (")",)
+    assert "expected one of [')']" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_math("sinc(x)")
+    assert "sqrt" in err.value.expected and "s" not in err.value.expected
+
+
 def test_implicit_multiplication_is_not_a_rule():
     with pytest.raises(ParseError):
         parse_math("B log2(x)")

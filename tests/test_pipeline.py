@@ -1,0 +1,123 @@
+"""Bundle build and load, and answers pinned against golden outputs.
+
+The golden files hold ``AnswerResult.to_json()`` without ``latency_ms``
+for every gold question of ``synthetic_corpus(n_docs=3, seed=0)``, asked
+through a bundle written to disk and loaded back, once built without and
+once with view alignment. Regenerate them only for an intended change of
+behaviour, from the root of a checkout:
+
+    PYTHONPATH=src python tests/test_pipeline.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from semrag.errors import ChecksumError, FormatVersionError, SchemaError
+from semrag.pipeline import PipelineConfig, build_bundle, load_bundle, make_engine
+from semrag.synth import synthetic_corpus
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_path(align: bool) -> Path:
+    return GOLDEN / ("answers_aligned.json" if align else "answers_plain.json")
+
+
+def build(out: Path, align: bool = False):
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, out, config=PipelineConfig(align=align))
+    return corpus
+
+
+def gold_answers(out: Path, align: bool) -> list[dict]:
+    """Every gold question answered from a bundle loaded back from disk."""
+    corpus = build(out, align)
+    bundle = load_bundle(out)
+    engine = make_engine(bundle)
+    answers = []
+    for query in corpus.gold:
+        doc = engine.answer(query.question, bundle.clients.llm).to_json()
+        del doc["latency_ms"]
+        answers.append(doc)
+    return answers
+
+
+@pytest.mark.parametrize("align", [False, True], ids=["plain", "aligned"])
+def test_answers_match_golden(tmp_path, align):
+    expected = json.loads(golden_path(align).read_text("utf-8"))
+    actual = json.loads(json.dumps(gold_answers(tmp_path, align)))
+    assert len(actual) == len(expected) == 40
+    for got, want in zip(actual, expected):
+        assert got == want, want["question"]
+
+
+@pytest.mark.parametrize("align", [False, True], ids=["plain", "aligned"])
+def test_manifest_is_byte_identical_across_builds(tmp_path, align):
+    build(tmp_path / "a", align)
+    build(tmp_path / "b", align)
+    first = (tmp_path / "a" / "manifest.json").read_bytes()
+    assert first == (tmp_path / "b" / "manifest.json").read_bytes()
+    members = json.loads(first)["checksums"]
+    assert ("align.json" in members) == align
+    for name in members:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_flipped_byte_in_vectors_bin_fails_closed(tmp_path):
+    build(tmp_path)
+    path = tmp_path / "vectors.bin"
+    payload = bytearray(path.read_bytes())
+    payload[len(payload) // 2] ^= 0x01
+    path.write_bytes(bytes(payload))
+    with pytest.raises(ChecksumError):
+        load_bundle(tmp_path)
+
+
+def _edit_manifest(bundle_dir: Path, edit) -> None:
+    path = bundle_dir / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_unknown_format_version_fails_closed(tmp_path):
+    build(tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update(format_version=2))
+    with pytest.raises(FormatVersionError):
+        load_bundle(tmp_path)
+
+
+def test_manifest_without_vectors_fails_closed(tmp_path):
+    build(tmp_path)
+    _edit_manifest(tmp_path, lambda m: m["checksums"].pop("vectors.json"))
+    with pytest.raises(SchemaError):
+        load_bundle(tmp_path)
+
+
+def test_aligned_manifest_without_alignment_fails_closed(tmp_path):
+    build(tmp_path, align=True)
+    _edit_manifest(tmp_path, lambda m: m["checksums"].pop("align.json"))
+    with pytest.raises(SchemaError):
+        load_bundle(tmp_path)
+
+
+def _write_golden() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for align in (False, True):
+        with tempfile.TemporaryDirectory() as tmp:
+            answers = gold_answers(Path(tmp), align)
+        lines = [json.dumps(a, sort_keys=True, ensure_ascii=False) for a in answers]
+        text = "[\n" + ",\n".join(lines) + "\n]\n"
+        golden_path(align).write_text(text, encoding="utf-8")
+        print(f"wrote {golden_path(align)} ({len(answers)} answers)", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_golden()
