@@ -2,10 +2,10 @@
 
 Exit codes are part of the contract: 0 success, 1 user error (bad input
 files, bad bundle, nothing to index, a route that the bundle cannot
-serve), 2 internal processing failure, 3 upstream service failure (the
-generation endpoint). Indexing takes a corpus directory of
-intermediate-JSON documents; every other command takes a bundle
-directory produced by `semrag index`.
+serve, online generation with no endpoint set), 2 internal processing
+failure, 3 upstream service failure (the generation endpoint). Indexing
+takes a corpus directory of intermediate-JSON documents; every other
+command takes a bundle directory produced by `semrag index`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     GeneratorError,
     HeaderAmbiguityError,
     HttpError,
+    MissingEndpoint,
     NoMacroNodes,
     NotFound,
     OrderError,
@@ -66,6 +67,7 @@ _USER_ERRORS = (
     NoMacroNodes,
     FormatVersionError,
     ChecksumError,
+    MissingEndpoint,
     OSError,
     json.JSONDecodeError,
 )

@@ -161,5 +161,14 @@ class HttpError(SemragError):
         super().__init__(self.body if status is None else f"HTTP {status}: {self.body}")
 
 
+class MissingEndpoint(SemragError):
+    """The remote client was asked for but no endpoint is configured;
+    carries the name of the environment variable to set."""
+
+    def __init__(self, variable: str):
+        self.variable = variable
+        super().__init__(f"online generation needs {variable} to be set")
+
+
 class BudgetExceeded(SemragError):
     """A summarization call was given a non-positive or over-limit budget."""

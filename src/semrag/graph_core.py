@@ -282,7 +282,9 @@ def khop_expand(
     """Breadth-first ball of radius k over allowed relations, both directions.
 
     Deterministic: each frontier is processed in ascending node id order and
-    the node budget cuts the final frontier in that same order.
+    the node budget cuts the final frontier in that same order. The edge
+    ids are the allowed edges between members, read from the members' own
+    incident edges, so the cost follows the ball, not the graph.
     """
     valid = sorted(a for a in anchors if a in g.nodes)
     if not valid:
@@ -307,11 +309,13 @@ def khop_expand(
             hops[other] = depth + 1
             frontier.append(other)
     members = sorted(hops, key=lambda n: (hops[n], n))
-    member_set = set(members)
     edge_ids = sorted(
-        eid
-        for eid, edge in g.edges.items()
-        if edge.rel in allowed and edge.src in member_set and edge.dst in member_set
+        {
+            edge.id
+            for nid in members
+            for edge in g.incident_edges(nid)
+            if edge.rel in allowed and edge.src in hops and edge.dst in hops
+        }
     )
     return Subgraph(nodes=members, hops=hops, edge_ids=edge_ids, anchors=valid)
 

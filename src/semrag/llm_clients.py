@@ -31,7 +31,7 @@ from typing import Optional, Protocol
 
 import requests
 
-from .errors import BudgetExceeded, HttpError
+from .errors import BudgetExceeded, HttpError, MissingEndpoint
 
 logger = logging.getLogger(__name__)
 
@@ -269,7 +269,8 @@ def make_clients(
     """Pick the remote client when SEMRAG_LLM_ENDPOINT is set, offline otherwise.
 
     SEMRAG_OFFLINE=1 forces the offline client regardless of the endpoint;
-    an explicit `offline` argument overrides everything.
+    an explicit `offline` argument overrides everything. Asking for the
+    remote client with no endpoint set raises MissingEndpoint.
     """
     ledger = ledger if ledger is not None else TokenLedger()
     llm_endpoint = os.environ.get(ENV_LLM_ENDPOINT)
@@ -277,4 +278,6 @@ def make_clients(
         offline = os.environ.get(ENV_OFFLINE) == "1" or not llm_endpoint
     if offline:
         return Clients(llm=OfflineLlmClient(ledger=ledger), ledger=ledger)
+    if not llm_endpoint:
+        raise MissingEndpoint(ENV_LLM_ENDPOINT)
     return Clients(llm=HttpLlmClient(llm_endpoint, ledger=ledger), ledger=ledger)

@@ -5,7 +5,8 @@ fragments; build_bundle adds the entropy index, community summaries, and a
 checksummed on-disk bundle whose manifest is byte-identical across offline
 runs (no timestamps, sorted keys). load_bundle verifies the checksums
 and fails closed on a missing member, and make_engine wires the loaded
-graph, vectors and optional alignment to the retrieval engine.
+graph and vectors to the retrieval engine. An aligned build also trains
+and saves the view aligner (align.json); retrieval does not read it.
 """
 
 from __future__ import annotations
@@ -183,12 +184,10 @@ def build_bundle(
     gaz_bytes = canonical_json_bytes(sorted(set(gazetteer))) + b"\n"
     (out / "gazetteer.json").write_bytes(gaz_bytes)
     alignment = None
-    w_topo = None
     if cfg.align:
         alignment = train_alignment(graph, seed=cfg.seed)
         save_alignment(out / "align.json", alignment)
-        w_topo = alignment.w_topo
-    ids, matrix = index_vectors(graph, w_topo)
+    ids, matrix = index_vectors(graph)
     save_vectors(out, ids, matrix)
     if router is not None:
         (out / "router.json").write_bytes(
@@ -288,15 +287,13 @@ def make_engine(
     bundle: Bundle,
     router: Optional[RouterModel] = None,
 ) -> QueryEngine:
-    """Retrieval engine over a bundle's graph, vectors and alignment."""
+    """Retrieval engine over a bundle's graph and vectors."""
     cfg = bundle.config
-    alignment = bundle.alignment
     return QueryEngine(
         bundle.graph,
         bundle.vectors,
         config=RetrievalConfig(budget=cfg.budget, khop=cfg.khop),
         router=router if router is not None else bundle.router,
-        w_topo=alignment.w_topo if alignment is not None else None,
     )
 
 

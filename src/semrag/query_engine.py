@@ -41,7 +41,7 @@ from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
 from .layout_compiler import CellHit, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
-from .vector_align import TOPO_DIM, embed_text, fused_embedding, topo_feature
+from .vector_align import EMBED_DIM, embed_text
 
 
 class Route(Enum):
@@ -80,6 +80,7 @@ EXPAND_RELATIONS = frozenset(
 )
 
 HIT_ENTROPY_TOP = 10
+SCORE_SCALE = 1.0 / math.sqrt(2.0)  # see QueryEngine.embed_query
 SYMBOLIC_PATTERN = re.compile(
     r"[=^_\\/]|\b(?:log2?|sum|frac)\b|\d+\s*(?:dB|dBm|GHz|MHz|ms)\b"
 )
@@ -453,32 +454,16 @@ def build_prompt(question: str, records: Sequence[EvidenceRecord]) -> str:
     return "\n".join(lines)
 
 
-def index_vectors(
-    g: TypedGraph, w_topo: Optional[np.ndarray] = None
-) -> tuple[list[str], np.ndarray]:
-    """Fused embeddings for every indexable node, rows sorted by node id.
+def index_vectors(g: TypedGraph) -> tuple[list[str], np.ndarray]:
+    """Hashed retrieval text of every indexable node, rows sorted by node id.
 
-    The text half is the unprojected hashed text; a trained ``w_topo``
-    projects the topology half. QueryEngine.embed_query gives every query
-    a zero topology half, so a score is the text cosine over sqrt(2) and
-    neither the topology half nor ``w_topo`` enters it, aligned or not.
+    The matrix is ``len(ids)`` by EMBED_DIM, with or without alignment.
     """
     indexed = set(INDEXED_TYPES)
-    ids = []
-    rows = []
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.type not in indexed:
-            continue
-        ids.append(nid)
-        rows.append(
-            fused_embedding(
-                embed_text(retrieval_text(g, nid)),
-                topo_feature(g, nid),
-                w_topo=w_topo,
-            )
-        )
-    matrix = np.vstack(rows) if rows else np.zeros((0, 0), dtype=np.float64)
+    ids = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
+    matrix = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
+    for row, nid in enumerate(ids):
+        matrix[row] = embed_text(retrieval_text(g, nid))
     return ids, matrix
 
 
@@ -487,7 +472,7 @@ class QueryEngine:
 
     ``vectors`` is the persisted index, ``(node ids, matrix)`` as
     index_vectors computes it; its ids must be exactly the graph's
-    indexable nodes in id order.
+    indexable nodes in id order, and its rows EMBED_DIM wide.
     """
 
     def __init__(
@@ -496,12 +481,10 @@ class QueryEngine:
         vectors: tuple[Sequence[str], np.ndarray],
         config: Optional[RetrievalConfig] = None,
         router: Optional[RouterModel] = None,
-        w_topo: Optional[np.ndarray] = None,
     ):
         self.g = g
         self.config = config or RetrievalConfig()
         self.router = router
-        self.w_topo = w_topo
         ids, matrix = list(vectors[0]), np.asarray(vectors[1], dtype=np.float64)
         indexed = set(INDEXED_TYPES)
         expected = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
@@ -509,6 +492,12 @@ class QueryEngine:
             raise SchemaError(
                 "/vectors/ids",
                 "precomputed vectors do not cover the graph's indexable nodes",
+            )
+        if matrix.shape != (len(ids), EMBED_DIM):
+            raise SchemaError(
+                "/vectors/dim",
+                f"vector matrix of shape {matrix.shape} is not "
+                f"{len(ids)} x {EMBED_DIM}; rebuild the bundle",
             )
         self._ids = ids
         self._types = [g.nodes[nid].type for nid in ids]
@@ -521,10 +510,14 @@ class QueryEngine:
                     self._gazetteer.setdefault(surface, node.id)
 
     def embed_query(self, text: str) -> np.ndarray:
-        """The query's fused vector: hashed text and a zero topology half."""
-        return fused_embedding(
-            embed_text(text), np.zeros(TOPO_DIM), w_topo=self.w_topo
-        )
+        """The query's hashed text, scaled by SCORE_SCALE.
+
+        A score is then the text cosine over sqrt(2), the scale on which
+        the rule router's 2.5-bit hit-entropy threshold and the golden
+        evidence scores were set; unscaled cosines would move the
+        hit-entropy feature of every golden question.
+        """
+        return embed_text(text) * SCORE_SCALE
 
     def search(
         self,
@@ -532,8 +525,8 @@ class QueryEngine:
         k: int,
         types: Optional[Sequence[NodeType]] = None,
     ) -> list[tuple[str, float]]:
-        """Top-k nodes by fused cosine with an embedded query, ties broken
-        by node id."""
+        """Top-k nodes by score against an embedded query, ties broken by
+        node id; nodes with equal retrieval text score bit-identically."""
         allowed = set(types) if types is not None else None
         mask = [
             allowed is None or t in allowed for t in self._types
@@ -669,14 +662,7 @@ class QueryEngine:
             if nid in id_index:
                 score = float(self._matrix[id_index[nid]] @ query)
             else:
-                score = float(
-                    fused_embedding(
-                        embed_text(retrieval_text(self.g, nid)),
-                        topo_feature(self.g, nid),
-                        w_topo=self.w_topo,
-                    )
-                    @ query
-                )
+                score = float(embed_text(retrieval_text(self.g, nid)) @ query)
             candidates.append((nid, score, subgraph.hops[nid]))
         candidates.sort(key=lambda c: (-c[1], c[2], c[0]))
         return [

@@ -7,11 +7,8 @@ to a shared simplex via temperature softmax and trains the projections with
 full-batch Adam so matched pairs have low Jensen-Shannon divergence while
 mismatched pairs are pushed out to a margin.
 
-Fused embeddings normalize each view before concatenation. Retrieval
-embeds a query with a zero topology half, so a node's score is its text
-cosine (on the unprojected text) over sqrt(2): neither the topology view
-nor the trained projections enter any retrieval score. Alignment changes
-only the stored topology half of each node vector, which no query reads.
+Retrieval reads the hashed text alone (query_engine.index_vectors); the
+trained projections are saved with a bundle but enter no retrieval score.
 """
 
 from __future__ import annotations
@@ -265,26 +262,6 @@ def align_views(
             v_hat = v / (1.0 - _ADAM_BETA2**step)
             w -= cfg.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return result
-
-
-def fused_embedding(
-    text_vec: np.ndarray,
-    topo_vec: np.ndarray,
-    w_text: Optional[np.ndarray] = None,
-    w_topo: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Concatenate per-view-normalized embeddings, then normalize the whole.
-
-    Each view is projected by its matrix when one is given and used as is
-    otherwise. A missing view is passed as zeros and stays zero through
-    normalization, so a text-only query scores nodes by the cosine of the
-    text halves alone: the raw hashed text when ``w_text`` is None, the
-    projected text when it is given.
-    """
-    t = text_vec if w_text is None else w_text.T @ np.asarray(text_vec)
-    s = topo_vec if w_topo is None else w_topo.T @ np.asarray(topo_vec)
-    return _unit(np.concatenate([_unit(np.asarray(t, dtype=np.float64)),
-                                 _unit(np.asarray(s, dtype=np.float64))]))
 
 
 VECTORS_FORMAT_VERSION = 1

@@ -7,9 +7,11 @@ builds an online client.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 from click.testing import CliRunner
@@ -25,6 +27,7 @@ from semrag.llm_clients import (
 )
 from semrag.pipeline import PipelineConfig, build_bundle
 from semrag.synth import synthetic_corpus
+from semrag.vector_align import load_vectors, save_vectors
 
 QUESTION = "value of param000 under Limit00 Maximum"
 
@@ -128,3 +131,39 @@ def test_llm_endpoint_alone_selects_the_remote_client(env):
     env.setenv(ENV_OFFLINE, "1")
     assert isinstance(make_clients().llm, OfflineLlmClient)
 
+
+def _corpus_dir(tmp_path: Path) -> Path:
+    corpus = synthetic_corpus(n_docs=2, seed=0)
+    src = tmp_path / "corpus"
+    src.mkdir()
+    for doc in corpus.docs:
+        (src / f"{doc.id}.json").write_bytes(serialize(doc))
+    return src
+
+
+def test_online_index_without_endpoint_is_user_error(tmp_path, env):
+    out = tmp_path / "bundle"
+    result = CliRunner().invoke(
+        cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out), "--online"]
+    )
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert ENV_LLM_ENDPOINT in result.output
+    assert not out.exists()
+
+
+def test_bundle_with_topology_columns_is_user_error(tmp_path, env):
+    """A bundle whose vectors also carry a topology half, as bundles built
+    before the index held the hashed text alone, is refused, not crashed on."""
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    ids, matrix = load_vectors(out)
+    save_vectors(out, ids, np.hstack([matrix, np.zeros((len(ids), 23))]))
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text("utf-8"))
+    for name in ("vectors.json", "vectors.bin"):
+        manifest["checksums"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    result = runner.invoke(cli, ["query", str(out), QUESTION])
+    assert result.exit_code == EXIT_USER_ERROR, result.output

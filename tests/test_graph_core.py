@@ -224,6 +224,49 @@ def test_khop_is_deterministic():
     assert first == second
 
 
+_KHOP_RELATIONS = (RelationType.REFERS_TO, RelationType.CONTAINS, RelationType.DEFINES)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.sampled_from(_KHOP_RELATIONS),
+                ),
+                max_size=40,
+            ),
+            st.sets(st.integers(0, n - 1), min_size=1),
+        )
+    ),
+    st.sets(st.sampled_from(_KHOP_RELATIONS), min_size=1),
+    st.integers(0, 4),
+    st.integers(1, 12),
+)
+def test_khop_edge_ids_match_a_full_edge_scan(graph_spec, allowed, k, budget):
+    n, edges, anchor_indices = graph_spec
+    g = TypedGraph()
+    for i in range(n):
+        g.add_node(_para(f"n{i}"))
+    counts: dict[tuple, int] = {}
+    for u, v, rel in edges:
+        key = (u, v, rel)
+        counts[key] = counts.get(key, 0) + 1
+        src, dst = f"n{u}", f"n{v}"
+        g.add_edge(Edge(edge_id(src, rel, dst, counts[key] - 1), src, dst, rel))
+    sub = khop_expand(g, {f"n{i}" for i in anchor_indices}, k, allowed, budget=budget)
+    members = set(sub.nodes)
+    reference = sorted(
+        eid
+        for eid, edge in g.edges.items()
+        if edge.rel in allowed and edge.src in members and edge.dst in members
+    )
+    assert sub.edge_ids == reference
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import semrag.query_engine as query_engine
 from semrag.errors import SchemaError
 from semrag.pipeline import PipelineConfig, build_bundle, make_engine
-from semrag.query_engine import QueryEngine, RetrievalConfig, Route
+from semrag.query_engine import QueryEngine, RetrievalConfig, Route, retrieval_text
 from semrag.synth import synthetic_corpus
+from semrag.vector_align import EMBED_DIM
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["plain", "aligned"])
@@ -64,9 +66,41 @@ def test_vectors_must_cover_the_indexable_nodes(built):
         QueryEngine(bundle.graph)
 
 
+@pytest.mark.parametrize("extra", [23, 64, -1])
+def test_vectors_of_another_width_fail_closed(built, extra):
+    """Rows 279 or 320 wide (a text half plus a topology half) or too
+    narrow are refused with SchemaError, not a numpy shape error."""
+    _, bundle, _ = built
+    ids, matrix = bundle.vectors
+    assert matrix.shape == (len(ids), EMBED_DIM)
+    if extra > 0:
+        other = np.hstack([matrix, np.zeros((len(ids), extra))])
+    else:
+        other = matrix[:, :extra]
+    with pytest.raises(SchemaError):
+        QueryEngine(bundle.graph, (ids, other))
+
+
 def test_search_ranks_by_score_then_node_id(built):
     corpus, _, engine = built
     query = engine.embed_query(corpus.gold[0].question)
     hits = engine.search(query, 10)
     assert len(hits) == 10
     assert hits == sorted(hits, key=lambda pair: (-pair[1], pair[0]))
+
+
+def test_nodes_with_equal_text_tie_exactly_in_node_id_order(built):
+    corpus, bundle, engine = built
+    ids = bundle.vectors[0]
+    by_text: dict[str, list[str]] = {}
+    for nid in ids:
+        by_text.setdefault(retrieval_text(bundle.graph, nid), []).append(nid)
+    groups = [members for members in by_text.values() if len(members) > 1]
+    assert groups
+    for query in corpus.gold:
+        hits = engine.search(engine.embed_query(query.question), len(ids))
+        score = dict(hits)
+        rank = {nid: i for i, (nid, _) in enumerate(hits)}
+        for members in groups:
+            assert len({score[nid].hex() for nid in members}) == 1, members
+            assert sorted(members, key=rank.__getitem__) == sorted(members)

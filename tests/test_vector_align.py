@@ -25,7 +25,6 @@ from semrag.vector_align import (
     align_loss_and_grad,
     align_views,
     embed_text,
-    fused_embedding,
     jsd,
     load_alignment,
     load_vectors,
@@ -291,37 +290,6 @@ def test_mean_pair_jsd_drops_after_training():
     )
     ts, ys = np.array(texts), np.array(topos)
     assert result.mean_pair_jsd(ts, ys) < untrained.mean_pair_jsd(ts, ys)
-
-
-# ---------------------------------------------------------------------------
-# fusion
-
-
-def test_fused_embedding_is_unit_and_separates_views():
-    text = np.array([3.0, 4.0])
-    topo = np.array([0.0, 5.0, 0.0])
-    v = fused_embedding(text, topo)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
-    assert v.shape == (5,)
-    # each half is the per-view unit vector scaled by 1/sqrt(2)
-    assert v[:2] == pytest.approx(np.array([0.6, 0.8]) / math.sqrt(2.0))
-
-
-def test_fused_embedding_zero_view_leaves_other_half_intact():
-    text = np.array([1.0, 0.0])
-    v = fused_embedding(text, np.zeros(3))
-    assert v[0] == pytest.approx(1.0)
-    assert np.all(v[2:] == 0.0)
-
-
-def test_fused_embedding_applies_projections():
-    rng = np.random.default_rng(7)
-    w_text = rng.normal(size=(4, 3))
-    w_topo = rng.normal(size=(5, 3))
-    text, topo = rng.normal(size=4), rng.normal(size=5)
-    v = fused_embedding(text, topo, w_text, w_topo)
-    assert v.shape == (6,)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
