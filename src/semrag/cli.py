@@ -1,4 +1,4 @@
-"""Command-line interface: index, query, stats, export, benchmarks.
+"""Command-line interface: index, query, stats, export-graph, bench.
 
 Exit codes are part of the contract: 0 success, 1 user error (bad input
 files, bad bundle, nothing to index, a route that the bundle cannot
@@ -18,11 +18,9 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import click
 
-from .cost_model import scaling_curve
 from .doc_model import canonical_json_bytes, load_document
 from .errors import (
     ChecksumError,
@@ -43,7 +41,7 @@ from .errors import (
     SummarizerError,
     UnsupportedConstructError,
 )
-from .graph_core import save_graph
+from .graph_core import NodeType, save_graph
 from .pipeline import Bundle, PipelineConfig, build_bundle, load_bundle, make_engine
 from .query_engine import Route
 from .sem_index import base_projection, h1, h2
@@ -264,7 +262,13 @@ def cmd_query(bundle_dir, question, row, col, given, route_name, as_json, k):
 @click.option("--json", "as_json", is_flag=True)
 @_guard
 def cmd_stats(bundle_dir, as_json):
-    """Entropy, community, and merge-trace statistics for a bundle."""
+    """Entropy, community, merge-trace and indexing-token statistics.
+
+    index_tokens is what summarizing the communities cost: the tokens_used
+    recorded on the macro nodes. level_sizes counts the communities at each
+    level of the hierarchy, so a flat prompt-per-community-per-level
+    baseline costs prompt_tokens * sum(level_sizes).
+    """
     bundle = _load(bundle_dir)
     base = base_projection(bundle.graph)
     node_counts: dict[str, int] = {}
@@ -279,6 +283,11 @@ def cmd_stats(bundle_dir, as_json):
     for members in bundle.index.communities.values():
         histogram[len(members)] = histogram.get(len(members), 0) + 1
     trace = [m.delta for m in bundle.index.dendrogram]
+    index_tokens = sum(
+        int(node.attrs["tokens_used"])
+        for node in bundle.graph.nodes_of_type(NodeType.MACRO_NODE)
+    )
+    level_sizes = [len(set(level.values())) for level in bundle.index.levels]
     payload = {
         "nodes": len(bundle.graph.nodes),
         "edges": len(bundle.graph.edges),
@@ -288,6 +297,8 @@ def cmd_stats(bundle_dir, as_json):
         "partition_entropy_bits": round(partitioned, 9),
         "communities": len(bundle.index.communities),
         "levels": len(bundle.index.levels),
+        "level_sizes": level_sizes,
+        "index_tokens": index_tokens,
         "community_size_histogram": {
             str(size): count for size, count in sorted(histogram.items())
         },
@@ -306,6 +317,8 @@ def cmd_stats(bundle_dir, as_json):
     click.echo(f"partition entropy: {partitioned:.6f} bits")
     click.echo(f"communities: {payload['communities']}")
     click.echo(f"levels: {payload['levels']}")
+    click.echo(f"level sizes: {' '.join(map(str, level_sizes)) or '(none)'}")
+    click.echo(f"index tokens: {index_tokens}")
     sizes = " ".join(
         f"{size}x{count}" for size, count in sorted(histogram.items())
     )
@@ -329,57 +342,6 @@ def cmd_export_graph(bundle_dir, out_dir):
         f"graph exported to {out}: "
         f"{len(bundle.graph.nodes)} nodes, {len(bundle.graph.edges)} edges"
     )
-
-
-@cli.command("bench-indexing")
-@click.option(
-    "--sizes",
-    required=True,
-    help="comma-separated corpus sizes in nodes, e.g. 1000,5000,10000",
-)
-@click.option("--k", default=5, show_default=True, help="summaries kept in context")
-@click.option("--ts", default=500, show_default=True, help="summary token budget")
-@click.option(
-    "--prompt-tokens", default=500, show_default=True, help="baseline tokens per node"
-)
-@click.option("--community-size", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--out",
-    "out_path",
-    default="-",
-    show_default=True,
-    help="CSV output path, - for stdout",
-)
-@_guard
-def cmd_bench_indexing(sizes, k, ts, prompt_tokens, community_size, seed, out_path):
-    """Summary-context cost against flat per-node cost across corpus sizes."""
-    try:
-        parsed = [int(part) for part in sizes.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"--sizes must be comma-separated integers: {sizes!r}")
-    if not parsed:
-        raise click.UsageError("--sizes lists no corpus sizes")
-    rows = scaling_curve(
-        parsed,
-        k=k,
-        summary_tokens=ts,
-        prompt_tokens=prompt_tokens,
-        community_size=community_size,
-        seed=seed,
-    )
-    lines = ["size,sem_tokens,baseline_tokens,build_ms"]
-    for row in rows:
-        lines.append(
-            f"{row['size']},{row['sem_tokens']},"
-            f"{row['baseline_tokens']},{row['build_ms']:.3f}"
-        )
-    text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(f"scaling curve written to {out_path} ({len(rows)} rows)")
 
 
 @cli.command("bench")
@@ -424,7 +386,6 @@ def cmd_bench(bundle_dir, queries_path, repeat, as_json):
         "p50_ms": round(p50, 3),
         "p95_ms": round(p95, 3),
         "route_mix": {"low": mix[0], "med": mix[1], "high": mix[2]},
-        "ledger_tokens": bundle.clients.ledger.total_tokens(),
     }
     if as_json:
         click.echo(canonical_json_bytes(payload).decode("utf-8"))

@@ -168,7 +168,3 @@ class MissingEndpoint(SemragError):
     def __init__(self, variable: str):
         self.variable = variable
         super().__init__(f"online generation needs {variable} to be set")
-
-
-class BudgetExceeded(SemragError):
-    """A summarization call was given a non-positive or over-limit budget."""

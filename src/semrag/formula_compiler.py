@@ -395,15 +395,6 @@ def parse_math(text: str) -> MathAST:
 # --- canonical printing -----------------------------------------------------
 
 _PREC = {"=": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-_ATOM_PREC = 5
-
-
-def _prec(node: MathAST) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Unary):
-        return _PREC["neg"]
-    return _ATOM_PREC
 
 
 def print_math(node: MathAST) -> str:

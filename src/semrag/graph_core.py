@@ -106,10 +106,16 @@ def normalize_term(surface: str) -> str:
     """Unification key: lowercase, whitespace collapsed, trailing 's' stripped.
 
     The 's' is stripped only from a last word longer than one character,
-    so a lone "s" survives and no key ends in whitespace.
+    so a lone "s" survives and no key ends in whitespace, and never from a
+    word ending in "sss". No key then ends in exactly "ss", so normalizing
+    a key again strips at most its one trailing 's' and then stops.
     """
     key = " ".join(surface.lower().split())
-    if key.endswith("s") and len(key.rsplit(" ", 1)[-1]) > 1:
+    if (
+        key.endswith("s")
+        and not key.endswith("sss")
+        and len(key.rsplit(" ", 1)[-1]) > 1
+    ):
         key = key[:-1]
     return key
 

@@ -14,8 +14,7 @@ answering testable without a model. The offline summarizer is extractive:
 the first sentence of the first line that has sentence punctuation, under
 a whitespace token budget.
 
-A TokenLedger aggregates token counts and wall time per operation and can
-enforce a hard budget.
+A TokenLedger records token counts and wall time per generation call.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Optional, Protocol
 
 import requests
 
-from .errors import BudgetExceeded, HttpError, MissingEndpoint
+from .errors import HttpError, MissingEndpoint
 
 logger = logging.getLogger(__name__)
 
@@ -58,21 +57,13 @@ class LedgerEntry:
 
 
 class TokenLedger:
-    """Accumulates per-call token usage; optionally enforces a hard budget."""
+    """Accumulates per-call token usage."""
 
-    def __init__(self, budget_tokens: Optional[int] = None):
-        self.budget_tokens = budget_tokens
+    def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
 
     def record(self, op: str, tokens_in: int, tokens_out: int, wall_ms: float) -> None:
         self.entries.append(LedgerEntry(op, tokens_in, tokens_out, wall_ms))
-        if self.budget_tokens is not None and self.total_tokens() > self.budget_tokens:
-            raise BudgetExceeded(
-                f"token budget {self.budget_tokens} exceeded at {self.total_tokens()}"
-            )
-
-    def total_tokens(self) -> int:
-        return sum(e.tokens_in + e.tokens_out for e in self.entries)
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:

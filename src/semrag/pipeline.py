@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,6 +69,20 @@ class PipelineConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj) -> "PipelineConfig":
+        """The config a manifest records; every field present, no other."""
+        if not isinstance(obj, dict):
+            raise SchemaError("/config", "bundle manifest holds no config object")
+        expected = {f.name for f in fields(cls)}
+        missing = sorted(expected - obj.keys())
+        unknown = sorted(obj.keys() - expected)
+        if missing or unknown:
+            raise SchemaError(
+                "/config", f"config keys missing {missing}, unknown {unknown}"
+            )
+        return cls(**obj)
 
 
 def compile_corpus(
@@ -247,9 +261,10 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         raise FormatVersionError(
             f"unknown bundle format version {manifest.get('format_version')!r}"
         )
+    cfg = PipelineConfig.from_json(manifest.get("config"))
     members = manifest["checksums"]
     required = ["vectors.json", "vectors.bin"]
-    if manifest["config"].get("align"):
+    if cfg.align:
         required.append("align.json")
     for name in required:
         if name not in members:
@@ -260,7 +275,6 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
             raise ChecksumError(f"bundle member {name} does not match its checksum")
     graph = load_graph(src)
     index = _index_from_json(json.loads((src / "index.json").read_text("utf-8")))
-    cfg = PipelineConfig(**manifest["config"])
     alignment = None
     if "align.json" in members:
         alignment = load_alignment(src / "align.json")

@@ -327,11 +327,3 @@ def planted_graph(
                 connect(lo, hi)
                 made += 1
     return g
-
-
-def planted_partition(
-    g: TypedGraph, community_size: int
-) -> dict[str, int]:
-    """Ground-truth community labels for a planted graph."""
-    order = sorted(g.nodes)
-    return {nid: i // community_size for i, nid in enumerate(order)}

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 from semrag.cli import EXIT_UPSTREAM_ERROR, EXIT_USER_ERROR, cli
 from semrag.doc_model import serialize
+from semrag.graph_core import NodeType
 from semrag.llm_clients import (
     ENV_LLM_ENDPOINT,
     ENV_OFFLINE,
@@ -167,3 +168,48 @@ def test_bundle_with_topology_columns_is_user_error(tmp_path, env):
     manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     result = runner.invoke(cli, ["query", str(out), QUESTION])
     assert result.exit_code == EXIT_USER_ERROR, result.output
+
+
+def test_stats_reports_what_indexing_paid(tmp_path, env):
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    out = tmp_path / "bundle"
+    bundle = build_bundle(corpus.docs, corpus.gazetteer, out)
+    result = CliRunner().invoke(cli, ["stats", str(out), "--json"])
+    assert result.exit_code == 0, result.output
+    stats = json.loads(result.output)
+    paid = sum(
+        int(node.attrs["tokens_used"])
+        for node in bundle.graph.nodes_of_type(NodeType.MACRO_NODE)
+    )
+    assert stats["index_tokens"] == paid == 285
+    assert paid <= stats["communities"] * bundle.config.summary_budget_tokens
+    sizes = stats["level_sizes"]
+    assert sizes[-1] == stats["communities"]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+
+def _edit_manifest_config(out: Path, edit) -> None:
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["config"].update(retries=3),
+        lambda m: m.pop("config"),
+        lambda m: m["config"].pop("khop"),
+    ],
+    ids=["unknown-key", "no-config", "missing-key"],
+)
+def test_manifest_config_that_does_not_match_is_user_error(tmp_path, env, edit):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    _edit_manifest_config(out, edit)
+    result = runner.invoke(cli, ["stats", str(out)])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: /config:" in result.output

@@ -116,6 +116,8 @@ def test_normalize_term_cases(surface, key):
 
 @given(st.text(min_size=1, max_size=30))
 @example("0\rS")
+@example("asss")
+@example("sss")
 def test_normalize_term_is_idempotent(surface):
     once = normalize_term(surface)
     assert normalize_term(once) in (once, once.rstrip("s") or once)
