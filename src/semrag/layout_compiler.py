@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .doc_model import (
     EquationBlock,
@@ -77,6 +77,29 @@ def _prov_attrs(prov: Provenance) -> dict:
     return {"prov": prov.to_json()}
 
 
+class Gazetteer:
+    """Term surfaces, longest first, each with its compiled whole-word,
+    case-insensitive pattern.
+
+    Compiling is the expensive part of matching: Python's own pattern
+    cache holds 512 entries, so a larger gazetteer would miss it on every
+    use. Compile one per build or per engine and reuse it.
+    """
+
+    def __init__(self, surfaces: Iterable[str]):
+        # longest surfaces first so overlapping entries match greedily
+        vocab = sorted(set(surfaces), key=lambda s: (-len(s), s))
+        self.patterns: list[tuple[str, re.Pattern]] = [
+            (surface, re.compile(rf"\b{re.escape(surface)}\b", re.IGNORECASE))
+            for surface in vocab
+            if surface.strip()
+        ]
+
+    def mentioned(self, text: str) -> list[str]:
+        """Surfaces found anywhere in the text, longest first."""
+        return [surface for surface, pattern in self.patterns if pattern.search(text)]
+
+
 # --- text compilation -------------------------------------------------------
 
 def _definitional(surface: str, text: str) -> bool:
@@ -103,8 +126,15 @@ def _enclosing_section(doc: SourceDocument, block_id: str) -> Optional[SectionBl
     return None
 
 
-def compile_text(doc: SourceDocument, gazetteer: Sequence[str] = ()) -> TextPrimitiveSet:
+def compile_text(
+    doc: SourceDocument, gazetteer: Union[Gazetteer, Sequence[str]] = ()
+) -> TextPrimitiveSet:
     """Emit section/paragraph/term nodes and containment/reference edges.
+
+    ``gazetteer`` is a compiled Gazetteer, which compile_corpus builds once
+    for all documents, or plain surfaces, compiled on entry for this one
+    document. Longer surfaces match first, and a match overlapping one
+    already taken in the paragraph is skipped.
 
     Cross-references that name a clause, table, or equation absent from the
     document are reported in diagnostics instead of raising; downstream
@@ -154,13 +184,8 @@ def compile_text(doc: SourceDocument, gazetteer: Sequence[str] = ()) -> TextPrim
             elif block.label:
                 eq_section[block.label.strip("()")] = target
 
-    # longest surfaces first so overlapping gazetteer entries match greedily
-    vocab = sorted(set(gazetteer), key=lambda s: (-len(s), s))
-    patterns = [
-        (surface, re.compile(rf"\b{re.escape(surface)}\b", re.IGNORECASE))
-        for surface in vocab
-        if surface.strip()
-    ]
+    if not isinstance(gazetteer, Gazetteer):
+        gazetteer = Gazetteer(gazetteer)
 
     for block in doc.ordered_blocks():
         if not isinstance(block, ParagraphBlock):
@@ -170,7 +195,7 @@ def compile_text(doc: SourceDocument, gazetteer: Sequence[str] = ()) -> TextPrim
         frag.add_edge(section_node[block.parent_section], RelationType.CONTAINS, para_id)
 
         covered: list[tuple[int, int]] = []
-        for surface, pattern in patterns:
+        for surface, pattern in gazetteer.patterns:
             for m in pattern.finditer(block.text):
                 span = (m.start(), m.end())
                 if any(s < span[1] and span[0] < e for s, e in covered):
@@ -463,36 +488,47 @@ def _cells_bound_to(g: TypedGraph, header_ids: list[str], rel: RelationType) -> 
     return cells
 
 
+HeaderIndex = dict[tuple[NodeType, HeaderPath], list[str]]
+
+
+def header_index(g: TypedGraph) -> HeaderIndex:
+    """Row and column header node ids by (header type, path), in graph order."""
+    index: HeaderIndex = {}
+    for node in g.nodes.values():
+        if node.type in (NodeType.ROW_HEADER, NodeType.COL_HEADER):
+            key = (node.type, tuple(node.attrs.get("path", ())))
+            index.setdefault(key, []).append(node.id)
+    return index
+
+
 def lookup_cell(
     g: TypedGraph,
     row_path: Sequence[str] = (),
     col_path: Sequence[str] = (),
     predicates: Sequence[str] = (),
+    headers: Optional[HeaderIndex] = None,
 ) -> list[CellHit]:
     """Cells whose row and column header paths match; empty side matches all.
 
     `predicates` lists footnote markers the caller asserts are satisfied;
     any remaining guard on a hit is surfaced as its condition text. Hits are
-    ordered by source position (doc, page, bbox). Raises NotFound when no
-    cell matches.
+    ordered by source position (doc, page, bbox). `headers` is the graph's
+    header_index, which a caller making many lookups builds once; without
+    it each call indexes the graph afresh. Raises NotFound when no cell
+    matches.
     """
     row_path = tuple(s.strip() for s in row_path)
     col_path = tuple(s.strip() for s in col_path)
-
-    def matching(node_type: NodeType, path: HeaderPath) -> list[str]:
-        return [
-            n.id
-            for n in g.nodes_of_type(node_type)
-            if tuple(n.attrs.get("path", ())) == path
-        ]
+    if headers is None:
+        headers = header_index(g)
 
     candidates: Optional[set[str]] = None
     if row_path:
-        headers = matching(NodeType.ROW_HEADER, row_path)
-        candidates = _cells_bound_to(g, headers, RelationType.ROW_BIND)
+        row_headers = headers.get((NodeType.ROW_HEADER, row_path), [])
+        candidates = _cells_bound_to(g, row_headers, RelationType.ROW_BIND)
     if col_path:
-        headers = matching(NodeType.COL_HEADER, col_path)
-        bound = _cells_bound_to(g, headers, RelationType.COL_BIND)
+        col_headers = headers.get((NodeType.COL_HEADER, col_path), [])
+        bound = _cells_bound_to(g, col_headers, RelationType.COL_BIND)
         candidates = bound if candidates is None else candidates & bound
     if candidates is None:
         candidates = {n.id for n in g.nodes_of_type(NodeType.CELL)}

@@ -28,7 +28,7 @@ from .doc_model import (
 from .errors import ChecksumError, FormatVersionError, SchemaError
 from .formula_compiler import Var, compile_formula, link_symbol_definitions
 from .graph_core import RelationType, TypedGraph, load_graph, merge_units, save_graph
-from .layout_compiler import compile_table, compile_text
+from .layout_compiler import Gazetteer, compile_table, compile_text
 from .llm_clients import Clients, make_clients, summarize_with
 from .query_engine import QueryEngine, RetrievalConfig, RouterModel, index_vectors
 from .sem_index import (
@@ -55,6 +55,9 @@ logger = logging.getLogger(__name__)
 
 BUNDLE_FORMAT_VERSION = 1
 
+# config field annotation -> accepted JSON value types; bool is not an int here
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
 
 @dataclass
 class PipelineConfig:
@@ -72,16 +75,23 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, obj) -> "PipelineConfig":
-        """The config a manifest records; every field present, no other."""
+        """The config a manifest records; every field present, no other,
+        each of its field's type (an int also reads as a float)."""
         if not isinstance(obj, dict):
             raise SchemaError("/config", "bundle manifest holds no config object")
-        expected = {f.name for f in fields(cls)}
-        missing = sorted(expected - obj.keys())
-        unknown = sorted(obj.keys() - expected)
+        expected = {f.name: f.type for f in fields(cls)}
+        missing = sorted(expected.keys() - obj.keys())
+        unknown = sorted(obj.keys() - expected.keys())
         if missing or unknown:
             raise SchemaError(
                 "/config", f"config keys missing {missing}, unknown {unknown}"
             )
+        for name, type_name in expected.items():
+            if type(obj[name]) not in _JSON_TYPES[type_name]:
+                raise SchemaError(
+                    f"/config/{name}",
+                    f"expected {type_name}, found {type(obj[name]).__name__}",
+                )
         return cls(**obj)
 
 
@@ -97,9 +107,10 @@ def compile_corpus(
             report.dangling_markers,
             report.empty_clauses,
         )
+    patterns = Gazetteer(gazetteer)
     fragments = []
     for doc in docs:
-        fragments.append(compile_text(doc, gazetteer).fragment)
+        fragments.append(compile_text(doc, patterns).fragment)
         for block in doc.ordered_blocks():
             if isinstance(block, TableBlock):
                 fragments.append(compile_table(doc.id, block).fragment)
@@ -257,12 +268,20 @@ def _summary_tuple(clients: Clients, text: str, budget: int) -> tuple[str, int]:
 def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     src = Path(path)
     manifest = json.loads((src / "manifest.json").read_text("utf-8"))
+    if not isinstance(manifest, dict):
+        raise SchemaError("", "bundle manifest is not a JSON object")
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise FormatVersionError(
             f"unknown bundle format version {manifest.get('format_version')!r}"
         )
     cfg = PipelineConfig.from_json(manifest.get("config"))
-    members = manifest["checksums"]
+    members = manifest.get("checksums")
+    if not isinstance(members, dict) or not all(
+        isinstance(v, str) for v in members.values()
+    ):
+        raise SchemaError(
+            "/checksums", "bundle manifest holds no member-to-checksum object"
+        )
     required = ["vectors.json", "vectors.bin"]
     if cfg.align:
         required.append("align.json")

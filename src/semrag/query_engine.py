@@ -9,8 +9,12 @@ records that carry full provenance:
   hops along structural relations, candidates re-ranked by similarity;
 - high: community summary nodes matched against the query.
 
-The query text is embedded once per retrieval; the hit-entropy feature
-and the chosen strategy both score against that one vector.
+The query text is embedded once and scored once per retrieval: one
+product of the index matrix with the query gives a score per indexed
+node, and the hit-entropy feature, the med route's vector anchors and
+the chosen strategy all rank that one vector. The gazetteer, compiled
+once per engine, is matched once per retrieval too; the entity-count
+feature and the med route's term anchors share the result.
 
 The router has a deterministic rule fallback and an optional trained
 classifier (a small seeded MLP over standardized features).
@@ -38,7 +42,7 @@ from .errors import (
     SchemaError,
 )
 from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
-from .layout_compiler import CellHit, lookup_cell
+from .layout_compiler import CellHit, Gazetteer, header_index, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
 from .vector_align import EMBED_DIM, embed_text
@@ -467,12 +471,35 @@ def index_vectors(g: TypedGraph) -> tuple[list[str], np.ndarray]:
     return ids, matrix
 
 
+@dataclass
+class _Question:
+    """One question as retrieval reads it, derived once: the router's
+    features, the med route's anchors and the chosen route all read it."""
+
+    text: str
+    query: np.ndarray  # embed_query(text)
+    scores: np.ndarray  # the whole index scored against the query
+    terms: set[str]  # gazetteer term nodes mentioned in the text
+    surfaces: set[str]  # the surfaces that mention them
+
+
+def _entity_count(text: str, terms: set[str], surfaces: set[str]) -> int:
+    """Known-term mentions plus all-caps tokens the gazetteer missed."""
+    known = {s.lower() for s in surfaces}
+    acronyms = {
+        token for token in ACRONYM_PATTERN.findall(text) if token.lower() not in known
+    }
+    return len(terms) + len(acronyms)
+
+
 class QueryEngine:
     """Vector index plus router plus retrieval over one compiled graph.
 
     ``vectors`` is the persisted index, ``(node ids, matrix)`` as
     index_vectors computes it; its ids must be exactly the graph's
     indexable nodes in id order, and its rows EMBED_DIM wide.
+    Construction compiles the gazetteer's term surfaces and indexes the
+    table headers once, so no question or lookup rescans the graph.
     """
 
     def __init__(
@@ -500,14 +527,19 @@ class QueryEngine:
                 f"{len(ids)} x {EMBED_DIM}; rebuild the bundle",
             )
         self._ids = ids
+        self._row_of = {nid: row for row, nid in enumerate(ids)}
         self._types = [g.nodes[nid].type for nid in ids]
-        self._matrix: Optional[np.ndarray] = matrix if matrix.size else None
-        self._gazetteer: dict[str, str] = {}
+        self._matrix = matrix
+        # index rows of each type set ranked so far, ascending (so in id order)
+        self._rows: dict[Optional[frozenset[NodeType]], np.ndarray] = {}
+        self._term_of: dict[str, str] = {}
         for node in g.nodes_of_type(NodeType.TERM):
             surfaces = set(node.attrs.get("surfaces", [])) | {node.text}
             for surface in surfaces:
                 if surface.strip():
-                    self._gazetteer.setdefault(surface, node.id)
+                    self._term_of.setdefault(surface, node.id)
+        self._gazetteer = Gazetteer(self._term_of)
+        self._headers = header_index(g)
 
     def embed_query(self, text: str) -> np.ndarray:
         """The query's hashed text, scaled by SCORE_SCALE.
@@ -519,6 +551,10 @@ class QueryEngine:
         """
         return embed_text(text) * SCORE_SCALE
 
+    def _ask(self, text: str, query: np.ndarray) -> _Question:
+        terms, surfaces = self._gazetteer_hits(text)
+        return _Question(text, query, self._matrix @ query, terms, surfaces)
+
     def search(
         self,
         query: np.ndarray,
@@ -526,79 +562,103 @@ class QueryEngine:
         types: Optional[Sequence[NodeType]] = None,
     ) -> list[tuple[str, float]]:
         """Top-k nodes by score against an embedded query, ties broken by
-        node id; nodes with equal retrieval text score bit-identically."""
-        allowed = set(types) if types is not None else None
-        mask = [
-            allowed is None or t in allowed for t in self._types
-        ]
-        if self._matrix is None or not any(mask):
+        node id; nodes with equal retrieval text score bit-identically.
+
+        Retrieval scores the whole index once per question and ranks that
+        one vector for every use; search scores afresh and ranks the same
+        way.
+        """
+        return self._rank(self._matrix @ query, k, types)
+
+    def _type_rows(self, types: Optional[Sequence[NodeType]]) -> np.ndarray:
+        key = None if types is None else frozenset(types)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = np.array(
+                [row for row, t in enumerate(self._types) if key is None or t in key],
+                dtype=np.intp,
+            )
+            self._rows[key] = rows
+        return rows
+
+    def _rank(
+        self,
+        scores: np.ndarray,
+        k: int,
+        types: Optional[Sequence[NodeType]] = None,
+    ) -> list[tuple[str, float]]:
+        """Top-k of an index score vector by (-score, node id), over the
+        rows of the given node types.
+
+        Every row scoring at least the k-th largest score is kept, so a
+        tie at the cut is decided by node id as a full sort would.
+        """
+        rows = self._type_rows(types)
+        if not len(rows):
             raise EmptyIndex(
                 "vector index holds no nodes"
-                + (f" of types {sorted(t.value for t in allowed)}" if allowed else "")
+                + (f" of types {sorted(t.value for t in types)}" if types else "")
             )
-        scores = self._matrix @ query
+        k = max(k, 0)
+        if k == 0:
+            return []
+        if k < len(rows):
+            picked = scores[rows]
+            cut = np.partition(picked, len(rows) - k)[len(rows) - k]
+            rows = rows[picked >= cut]
         ranked = sorted(
-            (
-                (self._ids[i], float(scores[i]))
-                for i in range(len(self._ids))
-                if mask[i]
-            ),
+            ((self._ids[row], float(scores[row])) for row in rows),
             key=lambda pair: (-pair[1], pair[0]),
         )
-        return ranked[: max(k, 0)]
+        return ranked[:k]
 
     # -- features and routing --
 
-    def hit_entropy(self, query: np.ndarray) -> float:
-        """Entropy in bits of the softmax over the strongest hit scores.
+    def hit_entropy(self, scores: np.ndarray) -> float:
+        """Entropy in bits of the softmax over the strongest of the index's
+        scores against a query.
 
         An empty index reads as maximally uncertain.
         """
         try:
-            hits = self.search(query, HIT_ENTROPY_TOP)
+            hits = self._rank(scores, HIT_ENTROPY_TOP)
         except EmptyIndex:
             return math.log2(HIT_ENTROPY_TOP)
-        scores = np.array([s for _, s in hits], dtype=np.float64)
-        exp = np.exp(scores - scores.max())
+        top = np.array([s for _, s in hits], dtype=np.float64)
+        exp = np.exp(top - top.max())
         return float(shannon(exp / exp.sum()))
 
     def _gazetteer_hits(self, text: str) -> tuple[set[str], set[str]]:
         """(term node ids, matched surfaces) for mentions in the text."""
-        nodes: set[str] = set()
-        surfaces: set[str] = set()
-        for surface in sorted(self._gazetteer, key=lambda s: (-len(s), s)):
-            if re.search(rf"\b{re.escape(surface)}\b", text, re.IGNORECASE):
-                nodes.add(self._gazetteer[surface])
-                surfaces.add(surface)
-        return nodes, surfaces
+        surfaces = self._gazetteer.mentioned(text)
+        return {self._term_of[s] for s in surfaces}, set(surfaces)
 
     def entity_matches(self, text: str) -> list[str]:
         """Distinct term nodes mentioned in the text, in node id order."""
-        nodes, _ = self._gazetteer_hits(text)
-        return sorted(nodes)
+        terms, _ = self._gazetteer_hits(text)
+        return sorted(terms)
 
     def entity_count(self, text: str) -> int:
         """Known-term mentions plus all-caps tokens the gazetteer missed."""
-        nodes, surfaces = self._gazetteer_hits(text)
-        known = {s.lower() for s in surfaces}
-        acronyms = {
-            token
-            for token in ACRONYM_PATTERN.findall(text)
-            if token.lower() not in known
-        }
-        return len(nodes) + len(acronyms)
+        return _entity_count(text, *self._gazetteer_hits(text))
 
     def features(self, text: str, query: np.ndarray) -> list[float]:
         """Router features of a query's text and its embedded vector."""
+        return self._features(self._ask(text, query))
+
+    def _features(self, q: _Question) -> list[float]:
         return [
-            float(count_tokens(text)),
-            float(self.entity_count(text)),
-            1.0 if SYMBOLIC_PATTERN.search(text) else 0.0,
-            self.hit_entropy(query),
+            float(count_tokens(q.text)),
+            float(_entity_count(q.text, q.terms, q.surfaces)),
+            1.0 if SYMBOLIC_PATTERN.search(q.text) else 0.0,
+            self.hit_entropy(q.scores),
         ]
 
     def route(self, text: str, query: np.ndarray) -> tuple[Route, list[float]]:
-        features = self.features(text, query)
+        return self._route(self._ask(text, query))
+
+    def _route(self, q: _Question) -> tuple[Route, list[float]]:
+        features = self._features(q)
         if self.router is not None and self.router.w1 is not None:
             return self.router.predict(features), features
         return rule_route(features), features
@@ -608,32 +668,32 @@ class QueryEngine:
     def retrieve(
         self, text: str, route: Optional[Route] = None
     ) -> tuple[Route, list[float], list[EvidenceRecord]]:
-        query = self.embed_query(text)
+        q = self._ask(text, self.embed_query(text))
         if route is not None:
-            chosen, features = route, self.features(text, query)
+            chosen, features = route, self._features(q)
         else:
-            chosen, features = self.route(text, query)
+            chosen, features = self._route(q)
         if chosen == Route.LOW:
-            records = self._retrieve_low(query)
+            records = self._retrieve_low(q)
         elif chosen == Route.MED:
-            records = self._retrieve_med(text, query)
+            records = self._retrieve_med(q)
         else:
-            records = self._retrieve_high(query)
+            records = self._retrieve_high(q)
         return chosen, features, records
 
-    def _retrieve_low(self, query: np.ndarray) -> list[EvidenceRecord]:
-        hits = self.search(
-            query, self.config.budget, types=(NodeType.PARAGRAPH, NodeType.CELL)
+    def _retrieve_low(self, q: _Question) -> list[EvidenceRecord]:
+        hits = self._rank(
+            q.scores, self.config.budget, types=(NodeType.PARAGRAPH, NodeType.CELL)
         )
         return [
             evidence_record(self.g, nid, score, Route.LOW) for nid, score in hits
         ]
 
-    def _anchors(self, text: str, query: np.ndarray) -> list[str]:
-        anchors = self.entity_matches(text)[: self.config.max_anchors]
+    def _anchors(self, q: _Question) -> list[str]:
+        anchors = sorted(q.terms)[: self.config.max_anchors]
         if len(anchors) < self.config.max_anchors:
             try:
-                hits = self.search(query, self.config.anchor_hits)
+                hits = self._rank(q.scores, self.config.anchor_hits)
             except EmptyIndex:
                 hits = []
             for nid, _ in hits:
@@ -643,14 +703,13 @@ class QueryEngine:
                     break
         return anchors
 
-    def _retrieve_med(self, text: str, query: np.ndarray) -> list[EvidenceRecord]:
-        anchors = self._anchors(text, query)
+    def _retrieve_med(self, q: _Question) -> list[EvidenceRecord]:
+        anchors = self._anchors(q)
         if not anchors:
             return []
         subgraph = khop_expand(
             self.g, set(anchors), self.config.khop, set(EXPAND_RELATIONS)
         )
-        id_index = {nid: i for i, nid in enumerate(self._ids)}
         verbalizable = set(VERBALIZABLE_TYPES)
         candidates = []
         for nid in subgraph.nodes:
@@ -659,10 +718,10 @@ class QueryEngine:
                 continue
             if node.type == NodeType.OPERATOR and "expr" not in node.attrs:
                 continue
-            if nid in id_index:
-                score = float(self._matrix[id_index[nid]] @ query)
+            if nid in self._row_of:
+                score = float(self._matrix[self._row_of[nid]] @ q.query)
             else:
-                score = float(embed_text(retrieval_text(self.g, nid)) @ query)
+                score = float(embed_text(retrieval_text(self.g, nid)) @ q.query)
             candidates.append((nid, score, subgraph.hops[nid]))
         candidates.sort(key=lambda c: (-c[1], c[2], c[0]))
         return [
@@ -670,21 +729,14 @@ class QueryEngine:
             for nid, score, hop in candidates[: self.config.budget]
         ]
 
-    def _retrieve_high(self, query: np.ndarray) -> list[EvidenceRecord]:
-        macros = self.g.nodes_of_type(NodeType.MACRO_NODE)
-        if not macros:
+    def _retrieve_high(self, q: _Question) -> list[EvidenceRecord]:
+        macro = (NodeType.MACRO_NODE,)
+        if not len(self._type_rows(macro)):
             raise NoMacroNodes(
-                "summary retrieval requires materialized community summaries"
+                "summary retrieval requires community summaries in the vector "
+                "index; rebuild the bundle"
             )
-        try:
-            hits = self.search(
-                query, self.config.macro_limit, types=(NodeType.MACRO_NODE,)
-            )
-        except EmptyIndex:
-            # macros exist in the graph but were added after the index build
-            raise NoMacroNodes(
-                "community summaries are not in the vector index; rebuild the engine"
-            )
+        hits = self._rank(q.scores, self.config.macro_limit, types=macro)
         return [
             evidence_record(self.g, nid, score, Route.HIGH) for nid, score in hits
         ]
@@ -697,7 +749,7 @@ class QueryEngine:
         col_path: Sequence[str] = (),
         predicates: Sequence[str] = (),
     ) -> list[CellHit]:
-        return lookup_cell(self.g, row_path, col_path, predicates)
+        return lookup_cell(self.g, row_path, col_path, predicates, self._headers)
 
     # -- answering --
 

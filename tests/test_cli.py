@@ -213,3 +213,27 @@ def test_manifest_config_that_does_not_match_is_user_error(tmp_path, env, edit):
     result = runner.invoke(cli, ["stats", str(out)])
     assert result.exit_code == EXIT_USER_ERROR, result.output
     assert "error: /config:" in result.output
+
+
+def test_manifest_without_checksums_is_user_error(tmp_path, env):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    _edit_manifest_config(out, lambda m: m.pop("checksums"))
+    for command in (["stats", str(out)], ["query", str(out), QUESTION]):
+        result = runner.invoke(cli, command)
+        assert result.exit_code == EXIT_USER_ERROR, result.output
+        assert "error: /checksums:" in result.output
+
+
+def test_manifest_config_value_of_the_wrong_type_is_user_error(tmp_path, env):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    _edit_manifest_config(out, lambda m: m["config"].update(budget="5"))
+    for command in (["stats", str(out)], ["query", str(out), QUESTION]):
+        result = runner.invoke(cli, command)
+        assert result.exit_code == EXIT_USER_ERROR, result.output
+        assert "error: /config/budget:" in result.output

@@ -14,13 +14,21 @@ root of a checkout:
 from __future__ import annotations
 
 import json
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from semrag.errors import ChecksumError, FormatVersionError, SchemaError
-from semrag.pipeline import PipelineConfig, build_bundle, load_bundle, make_engine
+from semrag.pipeline import (
+    PipelineConfig,
+    build_bundle,
+    compile_corpus,
+    load_bundle,
+    make_engine,
+)
 from semrag.synth import synthetic_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +111,25 @@ def test_aligned_manifest_without_alignment_fails_closed(tmp_path):
     _edit_manifest(tmp_path, lambda m: m["checksums"].pop("align.json"))
     with pytest.raises(SchemaError):
         load_bundle(tmp_path)
+
+
+def test_a_build_compiles_each_gazetteer_pattern_once(monkeypatch):
+    """Past the 512 patterns Python's re cache holds, a per-document
+    compile would miss the cache for every surface of every document."""
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    surfaces = list(corpus.gazetteer) + [f"filler term {i}" for i in range(600)]
+    patterns = {rf"\b{re.escape(s)}\b" for s in surfaces}
+    compiled: Counter = Counter()
+    original = re.compile
+
+    def counting(pattern, flags=0):
+        compiled[pattern] += 1
+        return original(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", counting)
+    compile_corpus(corpus.docs, surfaces)
+    assert len(patterns) > 512
+    assert {p: compiled[p] for p in patterns} == {p: 1 for p in patterns}
 
 
 def _write_golden() -> None:

@@ -1,16 +1,31 @@
-"""QueryEngine: one query embedding per answer, and the vector index contract."""
+"""QueryEngine: one query embedding per answer, the vector index
+contract, and the shared ranking and gazetteer match against the
+per-call implementations they replaced."""
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semrag.query_engine as query_engine
-from semrag.errors import SchemaError
-from semrag.pipeline import PipelineConfig, build_bundle, make_engine
-from semrag.query_engine import QueryEngine, RetrievalConfig, Route, retrieval_text
+from semrag.errors import EmptyIndex, NoMacroNodes, NotFound, SchemaError
+from semrag.graph_core import Node, NodeType, TypedGraph
+from semrag.layout_compiler import Gazetteer, header_index, lookup_cell
+from semrag.pipeline import PipelineConfig, build_bundle, compile_corpus, make_engine
+from semrag.query_engine import (
+    ACRONYM_PATTERN,
+    INDEXED_TYPES,
+    QueryEngine,
+    RetrievalConfig,
+    Route,
+    index_vectors,
+    retrieval_text,
+)
 from semrag.synth import synthetic_corpus
 from semrag.vector_align import EMBED_DIM
 
@@ -104,3 +119,170 @@ def test_nodes_with_equal_text_tie_exactly_in_node_id_order(built):
         for members in groups:
             assert len({score[nid].hex() for nid in members}) == 1, members
             assert sorted(members, key=rank.__getitem__) == sorted(members)
+
+
+# --- one ranking of one score vector ------------------------------------------
+
+# every type set retrieval ranks: hit entropy and anchors, low route, high route
+RANKED_TYPE_SETS = [None, (NodeType.PARAGRAPH, NodeType.CELL), (NodeType.MACRO_NODE,)]
+WORDS = ["power", "limit", "harq", "cell", "band"]
+
+
+def full_sort_search(g, ids, matrix, query, k, types):
+    """The search this ranking replaced: a mask over every indexed node and
+    a full sort by (-score, node id)."""
+    allowed = set(types) if types is not None else None
+    mask = [allowed is None or g.nodes[nid].type in allowed for nid in ids]
+    if not any(mask):
+        raise EmptyIndex("vector index holds no nodes")
+    scores = matrix @ query
+    ranked = sorted(
+        ((ids[i], float(scores[i])) for i in range(len(ids)) if mask[i]),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return ranked[: max(k, 0)]
+
+
+@st.composite
+def indexed_graphs(draw):
+    """Indexable nodes over a five-word vocabulary, so many rows share their
+    text (or have none) and score exactly alike."""
+    g = TypedGraph()
+    for i in range(draw(st.integers(1, 30))):
+        words = draw(st.lists(st.sampled_from(WORDS), max_size=2))
+        g.add_node(Node(f"n{i:02d}", draw(st.sampled_from(INDEXED_TYPES)), " ".join(words)))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_graphs(), st.lists(st.sampled_from(WORDS), max_size=3))
+def test_ranking_equals_a_full_sort_at_every_k(g, words):
+    ids, matrix = index_vectors(g)
+    engine = QueryEngine(g, (ids, matrix))
+    query = engine.embed_query(" ".join(words))
+    for types in RANKED_TYPE_SETS:
+        for k in range(-1, len(ids) + 2):
+            try:
+                want = full_sort_search(g, ids, matrix, query, k, types)
+            except EmptyIndex:
+                with pytest.raises(EmptyIndex):
+                    engine.search(query, k, types)
+                continue
+            assert engine.search(query, k, types) == want, (types, k)
+
+
+def test_ties_straddling_the_cut_go_to_the_lower_node_ids():
+    g = TypedGraph()
+    for i, text in enumerate(["band", "power limit", "power", "power", "power", "cell"]):
+        g.add_node(Node(f"n{i}", NodeType.PARAGRAPH, text))
+    engine = QueryEngine(g, index_vectors(g))
+    hits = engine.search(engine.embed_query("power"), 3)
+    assert [nid for nid, _ in hits] == ["n2", "n3", "n4"]
+    assert len({score for _, score in hits}) == 1
+
+
+# --- one gazetteer match --------------------------------------------------------
+
+OVERLAPPING = [
+    "spectral efficiency", "efficiency", "spectral", "Spectral Efficiency",
+    "HARQ", "HARQ-ACK", "ACK", "ack", "CQI report", "report", "a.b", "",
+]
+
+
+def per_surface_hits(gazetteer: dict[str, str], text: str) -> tuple[set[str], set[str]]:
+    """The matcher the compiled Gazetteer replaced: one re.search per
+    surface, longest first, on every call."""
+    nodes: set[str] = set()
+    surfaces: set[str] = set()
+    for surface in sorted(gazetteer, key=lambda s: (-len(s), s)):
+        if re.search(rf"\b{re.escape(surface)}\b", text, re.IGNORECASE):
+            nodes.add(gazetteer[surface])
+            surfaces.add(surface)
+    return nodes, surfaces
+
+
+@st.composite
+def mention_texts(draw):
+    pieces = draw(st.lists(st.sampled_from(OVERLAPPING + ["the", "x1", "LTE"]), max_size=8))
+    text = ""
+    for piece in pieces:
+        if draw(st.booleans()):
+            piece = piece.upper()
+        text += piece + draw(st.sampled_from([" ", "", "-", ". ", "  "]))
+    return text
+
+
+def term_graph() -> TypedGraph:
+    """Term nodes whose surfaces overlap; two of them share a surface."""
+    g = TypedGraph()
+    terms = {
+        "t:se": ("spectral efficiency", ["Spectral Efficiency"]),
+        "t:eff": ("efficiency", []),
+        "t:spec": ("spectral", ["spectral"]),
+        "t:harq": ("HARQ", ["HARQ-ACK"]),
+        "t:ack": ("ACK", ["ack", "HARQ-ACK"]),
+        "t:cqi": ("CQI report", ["report", ""]),
+        "t:ab": ("a.b", []),
+    }
+    for nid, (text, surfaces) in terms.items():
+        g.add_node(Node(nid, NodeType.TERM, text, {"surfaces": surfaces}))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(mention_texts())
+def test_gazetteer_matches_equal_the_per_surface_search(text):
+    g = term_graph()
+    engine = QueryEngine(g, index_vectors(g))
+    gazetteer: dict[str, str] = {}
+    for node in g.nodes_of_type(NodeType.TERM):
+        for surface in set(node.attrs.get("surfaces", [])) | {node.text}:
+            if surface.strip():
+                gazetteer.setdefault(surface, node.id)
+    nodes, surfaces = per_surface_hits(gazetteer, text)
+    assert set(Gazetteer(gazetteer).mentioned(text)) == surfaces
+    assert engine.entity_matches(text) == sorted(nodes)
+    known = {s.lower() for s in surfaces}
+    acronyms = {t for t in ACRONYM_PATTERN.findall(text) if t.lower() not in known}
+    assert engine.entity_count(text) == len(nodes) + len(acronyms)
+    features = engine.features(text, engine.embed_query(text))
+    assert features[1] == float(len(nodes) + len(acronyms))
+
+
+# --- high route and header lookups without a graph scan ----------------------------
+
+
+def test_high_route_without_macro_nodes_raises_no_macro_nodes():
+    corpus = synthetic_corpus(n_docs=2, seed=0)
+    g = compile_corpus(corpus.docs, corpus.gazetteer)
+    assert not g.nodes_of_type(NodeType.MACRO_NODE)
+    engine = QueryEngine(g, index_vectors(g))
+    with pytest.raises(NoMacroNodes):
+        engine.retrieve(corpus.gold[0].question, route=Route.HIGH)
+
+
+def _lookup(lookup, row_path, col_path):
+    try:
+        return lookup(row_path, col_path)
+    except NotFound:
+        return "not found"
+
+
+def test_indexed_lookups_equal_graph_scans(built):
+    _, bundle, engine = built
+    g = bundle.graph
+    headers = header_index(g)
+    paths = {}
+    for kind in (NodeType.ROW_HEADER, NodeType.COL_HEADER):
+        paths[kind] = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(kind)})
+        for path in paths[kind] + [("absent",)]:
+            # the scan lookup_cell made per call before the index existed
+            scanned = [
+                n.id for n in g.nodes_of_type(kind) if tuple(n.attrs.get("path", ())) == path
+            ]
+            assert headers.get((kind, path), []) == scanned
+    rows, cols = paths[NodeType.ROW_HEADER] + [()], paths[NodeType.COL_HEADER] + [()]
+    for row_path in rows:
+        for col_path in cols:
+            want = _lookup(lambda r, c: lookup_cell(g, r, c), row_path, col_path)
+            assert _lookup(engine.lookup, row_path, col_path) == want
