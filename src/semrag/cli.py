@@ -1,4 +1,4 @@
-"""Command-line interface: index, query, stats, export-graph, bench.
+"""Command-line interface: index, query, stats, export-graph.
 
 Exit codes are part of the contract: 0 success, 1 user error (bad input
 files, bad bundle, nothing to index, a route that the bundle cannot
@@ -14,9 +14,7 @@ import json
 import logging
 import os
 import shutil
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -342,59 +340,6 @@ def cmd_export_graph(bundle_dir, out_dir):
         f"graph exported to {out}: "
         f"{len(bundle.graph.nodes)} nodes, {len(bundle.graph.edges)} edges"
     )
-
-
-@cli.command("bench")
-@click.argument("bundle_dir", type=click.Path(exists=True, file_okay=False))
-@click.option(
-    "--queries",
-    "queries_path",
-    required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="file with one question per line",
-)
-@click.option("--repeat", default=3, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
-@_guard
-def cmd_bench(bundle_dir, queries_path, repeat, as_json):
-    """Measure retrieval latency and the route mix over a question file."""
-    bundle = _load(bundle_dir)
-    engine = make_engine(bundle)
-    questions = [
-        line.strip()
-        for line in Path(queries_path).read_text("utf-8").splitlines()
-        if line.strip()
-    ]
-    if not questions:
-        raise NotFound("the queries file holds no questions")
-    latencies = []
-    route_counts = {"low": 0, "med": 0, "high": 0}
-    for _ in range(repeat):
-        for question in questions:
-            start = time.perf_counter()
-            route, _, records = engine.retrieve(question)
-            latencies.append((time.perf_counter() - start) * 1000.0)
-            route_counts[route.value] += 1
-    total = sum(route_counts.values())
-    mix = [route_counts[r] / total for r in ("low", "med", "high")]
-    latencies.sort()
-    p50 = statistics.median(latencies)
-    p95 = latencies[min(len(latencies) - 1, int(0.95 * len(latencies)))]
-    payload = {
-        "queries": len(questions),
-        "repeat": repeat,
-        "p50_ms": round(p50, 3),
-        "p95_ms": round(p95, 3),
-        "route_mix": {"low": mix[0], "med": mix[1], "high": mix[2]},
-    }
-    if as_json:
-        click.echo(canonical_json_bytes(payload).decode("utf-8"))
-        return
-    click.echo(
-        f"{payload['queries']} queries x{repeat}: "
-        f"p50 {payload['p50_ms']} ms, p95 {payload['p95_ms']} ms"
-    )
-    click.echo(f"route mix low/med/high: {mix[0]:.2f}/{mix[1]:.2f}/{mix[2]:.2f}")
 
 
 def main():

@@ -31,14 +31,7 @@ from .graph_core import RelationType, TypedGraph, load_graph, merge_units, save_
 from .layout_compiler import Gazetteer, compile_table, compile_text
 from .llm_clients import Clients, make_clients, summarize_with
 from .query_engine import QueryEngine, RetrievalConfig, RouterModel, index_vectors
-from .sem_index import (
-    EPSILON,
-    Merge,
-    MinimizeResult,
-    SNAPSHOT_FRACTION,
-    materialize_macronodes,
-    sem_minimize,
-)
+from .sem_index import Merge, MinimizeResult, materialize_macronodes, sem_minimize
 from .vector_align import (
     AlignConfig,
     AlignResult,
@@ -56,7 +49,7 @@ logger = logging.getLogger(__name__)
 BUNDLE_FORMAT_VERSION = 1
 
 # config field annotation -> accepted JSON value types; bool is not an int here
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_JSON_TYPES = {"int": (int,), "bool": (bool,)}
 
 
 @dataclass
@@ -67,8 +60,6 @@ class PipelineConfig:
     offline: bool = True
     seed: int = 0
     align: bool = False
-    epsilon: float = EPSILON
-    snapshot_fraction: float = SNAPSHOT_FRACTION
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -76,7 +67,7 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, obj) -> "PipelineConfig":
         """The config a manifest records; every field present, no other,
-        each of its field's type (an int also reads as a float)."""
+        each of its field's type."""
         if not isinstance(obj, dict):
             raise SchemaError("/config", "bundle manifest holds no config object")
         expected = {f.name: f.type for f in fields(cls)}
@@ -194,9 +185,7 @@ def build_bundle(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = compile_corpus(docs, gazetteer)
-    index = sem_minimize(
-        graph, epsilon=cfg.epsilon, snapshot_fraction=cfg.snapshot_fraction
-    )
+    index = sem_minimize(graph)
     materialize_macronodes(
         graph,
         index,

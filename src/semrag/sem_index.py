@@ -1,11 +1,14 @@
 """Entropy-guided hierarchical index over the typed graph.
 
-The indexer partitions the graph into communities by greedily minimizing
-two-level structural entropy, refines the result with single-node moves and
-community dissolution, and then certifies it: a constrained re-merge from
-singletons whose strictly improving steps form the dendrogram. Snapshots
-taken while coarsening become the retrieval hierarchy's levels, and
-materialize_macronodes attaches one summary node per final community.
+The indexer partitions the graph into communities by minimizing two-level
+structural entropy with one merge loop run twice. The first run merges
+freely from singletons; refinement by single-node moves and community
+dissolution then improves its partition. The second run merges again from
+singletons, only inside the refined communities: its strictly improving
+merges are the dendrogram, and its endpoint, which may split a refined
+community, is the result. Snapshots taken while the first run coarsens
+become the retrieval hierarchy's levels, and materialize_macronodes
+attaches one summary node per final community.
 
 Degrees are taken on the undirected projection where a self-loop adds two;
 self-loops never cross a community boundary, so they shape the intra terms
@@ -15,7 +18,6 @@ but never the cut terms.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -28,8 +30,6 @@ from .errors import (
     SummarizerError,
 )
 from .graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
-
-logger = logging.getLogger(__name__)
 
 EPSILON = 1e-12
 SNAPSHOT_FRACTION = 0.1
@@ -384,19 +384,30 @@ def _comm_neighbors(state: PartitionState, comm: int) -> set[int]:
 def _greedy_merge(
     state: PartitionState,
     epsilon: float,
-    snapshots: list[dict[str, str]],
-    thresholds: list[int],
-) -> None:
-    """Largest-decrease-first pairwise merging with a lazily invalidated heap."""
+    group_of: Optional[dict[str, str]] = None,
+    snapshots: Optional[list[dict[str, str]]] = None,
+    thresholds: Iterable[int] = (),
+) -> list[Merge]:
+    """Largest-decrease-first pairwise merging with a lazily invalidated heap.
+
+    With group_of (node id to group key), only two communities of one group
+    may merge. Each time the community count first falls to a threshold, a
+    snapshot of the partition goes to snapshots. Returns the merges made,
+    each of which lowered h2 by more than epsilon.
+    """
+    pending = list(thresholds)
+
+    def group(comm: int):
+        return None if group_of is None else group_of[next(iter(state.members[comm]))]
+
     heap: list[tuple[float, int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for comm in sorted(state.members):
+        target = group(comm)
         for other in _comm_neighbors(state, comm):
-            pair = (min(comm, other), max(comm, other))
-            if pair not in seen:
-                seen.add(pair)
-                heap.append((state.merge_delta(*pair), *pair))
+            if comm < other and group(other) == target:
+                heap.append((state.merge_delta(comm, other), comm, other))
     heapq.heapify(heap)
+    merges: list[Merge] = []
     while heap:
         delta, a, b = heapq.heappop(heap)
         if a not in state.members or b not in state.members:
@@ -404,12 +415,16 @@ def _greedy_merge(
         if delta >= -epsilon:
             break
         merged = state.merge(a, b)
-        while thresholds and len(state.members) <= thresholds[0]:
-            thresholds.pop(0)
+        merges.append(Merge(a, b, merged, delta))
+        while pending and len(state.members) <= pending[0]:
+            pending.pop(0)
             snapshots.append(state.labels_by_min_member())
+        target = group(merged)
         for other in sorted(_comm_neighbors(state, merged)):
-            pair = (min(merged, other), max(merged, other))
-            heapq.heappush(heap, (state.merge_delta(*pair), *pair))
+            if group(other) == target:
+                pair = (min(merged, other), max(merged, other))
+                heapq.heappush(heap, (state.merge_delta(*pair), *pair))
+    return merges
 
 
 def _refine(state: PartitionState, epsilon: float) -> None:
@@ -456,117 +471,37 @@ def _refine(state: PartitionState, epsilon: float) -> None:
                     state.move(nid, source)
 
 
-def _witness(
-    g: TypedGraph, target_sets: set[frozenset[str]], epsilon: float
-) -> tuple[PartitionState, list[Merge]]:
-    """Constrained greedy re-merge from singletons toward the target partition.
-
-    Only pairs inside one target community are considered, so every recorded
-    merge strictly lowers h2 and replaying them rebuilds the result. If the
-    constrained walk stalls early, its endpoint becomes the result.
-    """
-    state = PartitionState.singletons(g)
-    target_of: dict[str, int] = {}
-    for index, nodes in enumerate(sorted(target_sets, key=min)):
-        for nid in nodes:
-            target_of[nid] = index
-
-    def comm_target(comm: int) -> int:
-        return target_of[next(iter(state.members[comm]))]
-
-    merges: list[Merge] = []
-    groups: dict[int, set[int]] = {}
-    for comm in state.members:
-        groups.setdefault(comm_target(comm), set()).add(comm)
-
-    def record(a: int, b: int, delta: float) -> int:
-        merged = state.merge(a, b)
-        merges.append(Merge(a, b, merged, delta))
-        group = groups[comm_target(merged)]
-        group.discard(a)
-        group.discard(b)
-        group.add(merged)
-        return merged
-
-    heap: list[tuple[float, int, int]] = []
-    for comm in sorted(state.members):
-        target = comm_target(comm)
-        for other in _comm_neighbors(state, comm):
-            if comm_target(other) != target:
-                continue
-            pair = (min(comm, other), max(comm, other))
-            if pair == (comm, other):  # push each adjacent pair once
-                heap.append((state.merge_delta(*pair), *pair))
-    heapq.heapify(heap)
-    while heap:
-        delta, a, b = heapq.heappop(heap)
-        if a not in state.members or b not in state.members:
-            continue
-        if delta >= -epsilon:
-            break
-        merged = record(a, b, delta)
-        target = comm_target(merged)
-        for other in sorted(_comm_neighbors(state, merged)):
-            if comm_target(other) != target:
-                continue
-            pair = (min(merged, other), max(merged, other))
-            heapq.heappush(heap, (state.merge_delta(*pair), *pair))
-
-    # sweep disconnected remainders inside each target community
-    for target in sorted(groups):
-        improved = True
-        while improved and len(groups[target]) > 1:
-            improved = False
-            ordered = sorted(groups[target])
-            best: Optional[tuple[float, int, int]] = None
-            for i, a in enumerate(ordered):
-                for b in ordered[i + 1 :]:
-                    delta = state.merge_delta(a, b)
-                    if delta < -epsilon and (best is None or (delta, a, b) < best):
-                        best = (delta, a, b)
-            if best is not None:
-                record(best[1], best[2], best[0])
-                improved = True
-    return state, merges
-
-
-def sem_minimize(
-    g: TypedGraph,
-    epsilon: float = EPSILON,
-    snapshot_fraction: float = SNAPSHOT_FRACTION,
-) -> MinimizeResult:
+def sem_minimize(g: TypedGraph) -> MinimizeResult:
     """Partition the graph by minimizing two-level structural entropy.
 
-    Three phases: greedy pairwise merging from singletons, refinement by
-    single-node moves and community dissolution, then a constrained
-    re-merge that certifies the endpoint with a dendrogram of strictly
-    improving steps. Deterministic for a given graph: ties break on
-    community ids, nodes are visited in sorted order.
+    One merge loop runs twice. It first merges freely from singletons,
+    taking the coarsening snapshots; refinement by single-node moves and
+    community dissolution then lowers h2 further. The loop then runs again
+    from fresh singletons, merging only inside a refined community. Its
+    merges are the dendrogram and its endpoint is the result, which may
+    split a refined community where no strictly improving merge joins its
+    parts. Deterministic for a given graph: ties break on community ids,
+    nodes are visited in sorted order.
     """
     if not g.edges:
         raise EmptyGraph("minimization requires at least one edge")
     state = PartitionState.singletons(g)
     n0 = len(state.members)
     thresholds = []
-    if snapshot_fraction > 0:
-        fraction = snapshot_fraction
-        while fraction < 1.0:
-            count = math.floor(n0 * (1.0 - fraction))
-            if count < 1:
-                break
-            if not thresholds or count < thresholds[-1]:
-                thresholds.append(count)
-            fraction += snapshot_fraction
+    fraction = SNAPSHOT_FRACTION
+    while fraction < 1.0:
+        count = math.floor(n0 * (1.0 - fraction))
+        if count < 1:
+            break
+        if not thresholds or count < thresholds[-1]:
+            thresholds.append(count)
+        fraction += SNAPSHOT_FRACTION
     snapshots: list[dict[str, str]] = []
-    _greedy_merge(state, epsilon, snapshots, thresholds)
-    _refine(state, epsilon)
-    final_state, merges = _witness(g, state.partition_sets(), epsilon)
+    _greedy_merge(state, EPSILON, snapshots=snapshots, thresholds=thresholds)
+    _refine(state, EPSILON)
+    final_state = PartitionState.singletons(g)
+    merges = _greedy_merge(final_state, EPSILON, group_of=state.labels_by_min_member())
     partition = final_state.labels_by_min_member()
-    if final_state.partition_sets() != state.partition_sets():
-        logger.warning(
-            "witness stalled at %d communities; using its endpoint",
-            len(final_state.members),
-        )
     levels = [s for s in snapshots if s != partition]
     levels.append(partition)
     communities: dict[str, list[str]] = {}
@@ -581,7 +516,7 @@ def sem_minimize(
         levels=levels,
         h1=h1(g),
         h2=final_state.h2(),
-        epsilon=epsilon,
+        epsilon=EPSILON,
     )
 
 

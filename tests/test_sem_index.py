@@ -2,11 +2,21 @@
 
 Every numeric expectation is either computed by the independent oracles in
 conftest (plain textbook formulas over explicit edge lists) or asserted as a
-frozen constant that those oracles produced.
+frozen constant that those oracles produced. The minimizer's own output is
+also pinned in ``golden/sem_minimize.json``: the partition, merges and h2
+on three random graphs whose final merge pass splits a refined community,
+and the sha256 of a small bundle's ``index.json``. Regenerate it only for
+an intended change of behaviour, from the root of a checkout:
+
+    PYTHONPATH=src python tests/test_sem_index.py
 """
 
+import hashlib
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +34,12 @@ from conftest import (
 )
 from semrag.errors import EmptyGraph, InvalidPartition, NotADistribution, NotAdjacent
 from semrag.graph_core import NodeType, RelationType, TypedGraph
+from semrag.pipeline import build_bundle
 from semrag.sem_index import (
+    EPSILON,
     PartitionState,
+    _greedy_merge,
+    _refine,
     base_projection,
     delta_h2_merge,
     h1,
@@ -35,12 +49,18 @@ from semrag.sem_index import (
     sem_minimize,
     shannon,
 )
+from semrag.synth import synthetic_corpus
 
 # Frozen outputs of the conftest oracles on the two handmade graphs.
 TRIANGLES_H1 = 2.556656707462823
 TRIANGLES_MIN_H2 = 1.6995138503199656
 K5_H1 = 3.3156678763770073
 K5_MIN_H2 = 2.3632869239960543
+
+GOLDEN_MINIMIZE = Path(__file__).parent / "golden" / "sem_minimize.json"
+# random_graph(seed, n_max=40) graphs on which the last merge pass ends
+# with more communities than refinement made (8 -> 9, 4 -> 5, 4 -> 5).
+SPLIT_SEEDS = (6, 7, 80)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +244,26 @@ def test_merge_delta_consistent_along_random_merge_chains(seed):
         assert state.h2() == pytest.approx(truth, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_merging_communities_that_share_no_edge_never_lowers_h2(seed):
+    # With cross = 0 the merged cut is g_a + g_b, and merge_delta reduces to
+    #   delta = sum over i in {a, b} of (g_i - v_i) / V * log2(v_i / (v_a + v_b)).
+    # A cut never exceeds its volume (g_i <= v_i) and v_i <= v_a + v_b, so
+    # every term is >= 0: only adjacent pairs can improve h2, which is why
+    # the merge loop never looks beyond community neighbours.
+    g, _, n = random_graph(seed + 6000, n_max=20, allow_loops=(seed % 3 == 0))
+    rng = random.Random(seed)
+    k = rng.randrange(1, n + 1)
+    state = PartitionState.from_partition(
+        g, {f"n{i}": rng.randrange(k) for i in range(n)}
+    )
+    live = sorted(state.members)
+    for i, a in enumerate(live):
+        for b in live[i + 1 :]:
+            if state.cross(a, b) == 0:
+                assert state.merge_delta(a, b, 0) >= -EPSILON
+
+
 # ---------------------------------------------------------------------------
 # sem_minimize
 
@@ -308,6 +348,41 @@ def test_minimize_is_deterministic():
     ] == [(m.a, m.b, m.merged) for m in second.dendrogram]
 
 
+def _minimize_record(result) -> dict:
+    return {
+        "partition": result.partition,
+        "merges": [[m.a, m.b, m.merged] for m in result.dendrogram],
+        "h2": result.h2,
+    }
+
+
+def _index_json_sha256(out: Path) -> str:
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, out)
+    return hashlib.sha256((out / "index.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", SPLIT_SEEDS)
+def test_minimize_matches_golden_where_the_last_pass_splits(seed):
+    expected = json.loads(GOLDEN_MINIMIZE.read_text("utf-8"))["random_graph"][str(seed)]
+    g, _, _ = random_graph(seed, n_max=40)
+    result = sem_minimize(g)
+    assert _minimize_record(result) == expected
+    assert replay_dendrogram(g, result.dendrogram) == {
+        frozenset(m) for m in result.communities.values()
+    }
+    assert all(step.delta < 0.0 for step in result.dendrogram)
+    refined = PartitionState.singletons(g)
+    _greedy_merge(refined, EPSILON)
+    _refine(refined, EPSILON)
+    assert len(result.communities) > len(refined.members)
+
+
+def test_index_json_matches_golden(tmp_path):
+    expected = json.loads(GOLDEN_MINIMIZE.read_text("utf-8"))["index_json_sha256"]
+    assert _index_json_sha256(tmp_path) == expected
+
+
 # ---------------------------------------------------------------------------
 # macro node materialization
 
@@ -361,3 +436,26 @@ def test_membership_edges_connect_members_to_their_macro():
             if g.edges[eid].rel is RelationType.MEMBER_OF
         }
         assert linked == set(members)
+
+
+def _write_golden() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sha = _index_json_sha256(Path(tmp))
+    graphs = []
+    for seed in SPLIT_SEEDS:
+        record = _minimize_record(sem_minimize(random_graph(seed, n_max=40)[0]))
+        graphs.append(f'  "{seed}": {json.dumps(record, sort_keys=True)}')
+    text = (
+        f'{{\n "index_json_sha256": "{sha}",\n "random_graph": {{\n'
+        + ",\n".join(graphs)
+        + "\n }\n}\n"
+    )
+    GOLDEN_MINIMIZE.parent.mkdir(exist_ok=True)
+    GOLDEN_MINIMIZE.write_text(text, encoding="utf-8")
+    print(f"wrote {GOLDEN_MINIMIZE}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_golden()
