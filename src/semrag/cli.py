@@ -25,7 +25,6 @@ from .errors import (
     EmptyGraph,
     EmptyIndex,
     FormatVersionError,
-    GeneratorError,
     HeaderAmbiguityError,
     HttpError,
     MissingEndpoint,
@@ -67,7 +66,7 @@ _USER_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
-_UPSTREAM_ERRORS = (HttpError, GeneratorError, SummarizerError, TimeoutError)
+_UPSTREAM_ERRORS = (HttpError, SummarizerError, TimeoutError)
 
 
 def _fail(message: str, code: int):

@@ -128,10 +128,6 @@ class DivergenceError(SemragError):
 
 # --- query engine -----------------------------------------------------------
 
-class ClassMissingError(SemragError):
-    """Router training data does not cover every route class."""
-
-
 class EmptyIndex(SemragError):
     """Retrieval requested against an empty vector index."""
 
@@ -142,10 +138,6 @@ class NoMacroNodes(SemragError):
 
 class DanglingNode(SemragError):
     """Verbalization was asked for a node missing from the graph."""
-
-
-class GeneratorError(SemragError):
-    """Answer generation failed upstream."""
 
 
 # --- llm clients ------------------------------------------------------------

@@ -4,9 +4,10 @@ compile_corpus runs every compiler over every document and merges the
 fragments; build_bundle adds the entropy index, community summaries, and a
 checksummed on-disk bundle whose manifest is byte-identical across offline
 runs (no timestamps, sorted keys). load_bundle verifies the checksums
-and fails closed on a missing member, and make_engine wires the loaded
-graph and vectors to the retrieval engine. An aligned build also trains
-and saves the view aligner (align.json); retrieval does not read it.
+and fails closed on a missing member or one the build does not write,
+and make_engine wires the loaded graph and vectors to the retrieval
+engine. An aligned build also trains and saves the view aligner
+(align.json); retrieval does not read it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .formula_compiler import Var, compile_formula, link_symbol_definitions
 from .graph_core import RelationType, TypedGraph, load_graph, merge_units, save_graph
 from .layout_compiler import Gazetteer, compile_table, compile_text
 from .llm_clients import Clients, make_clients, summarize_with
-from .query_engine import QueryEngine, RetrievalConfig, RouterModel, index_vectors
+from .query_engine import QueryEngine, RetrievalConfig, index_vectors
 from .sem_index import Merge, MinimizeResult, materialize_macronodes, sem_minimize
 from .vector_align import (
     AlignConfig,
@@ -84,6 +85,21 @@ class PipelineConfig:
                     f"expected {type_name}, found {type(obj[name]).__name__}",
                 )
         return cls(**obj)
+
+
+def _members(cfg: PipelineConfig) -> list[str]:
+    """The checksummed files build_bundle writes under a config."""
+    members = [
+        "nodes.jsonl",
+        "edges.jsonl",
+        "index.json",
+        "gazetteer.json",
+        "vectors.json",
+        "vectors.bin",
+    ]
+    if cfg.align:
+        members.append("align.json")
+    return members
 
 
 def compile_corpus(
@@ -160,7 +176,6 @@ class Bundle:
     vectors: tuple
     clients: Optional[Clients] = None
     alignment: Optional[AlignResult] = None
-    router: Optional[RouterModel] = None
 
 
 def build_bundle(
@@ -169,13 +184,12 @@ def build_bundle(
     out_dir: str | Path,
     config: Optional[PipelineConfig] = None,
     clients: Optional[Clients] = None,
-    router: Optional[RouterModel] = None,
 ) -> Bundle:
     """Compile, index, summarize, and persist one corpus.
 
     The bundle directory holds the graph (nodes and edges plus their own
     manifest), the hierarchy index with its dendrogram, the vector index
-    sidecar, the optional alignment and router models, and a manifest
+    sidecar, the optional alignment model, and a manifest
     with configuration, counts, and content checksums. Wall-clock data
     goes to a separate ledger file outside the checksummed set, so two
     offline runs over the same input produce byte-identical manifests.
@@ -203,25 +217,9 @@ def build_bundle(
         save_alignment(out / "align.json", alignment)
     ids, matrix = index_vectors(graph)
     save_vectors(out, ids, matrix)
-    if router is not None:
-        (out / "router.json").write_bytes(
-            canonical_json_bytes(router.to_json()) + b"\n"
-        )
-    members = [
-        "nodes.jsonl",
-        "edges.jsonl",
-        "index.json",
-        "gazetteer.json",
-        "vectors.json",
-        "vectors.bin",
-    ]
-    if alignment is not None:
-        members.append("align.json")
-    if router is not None:
-        members.append("router.json")
     checksums = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in members
+        for name in _members(cfg)
     }
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
@@ -245,7 +243,6 @@ def build_bundle(
         clients=clients,
         vectors=(ids, matrix),
         alignment=alignment,
-        router=router,
     )
 
 
@@ -271,26 +268,23 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         raise SchemaError(
             "/checksums", "bundle manifest holds no member-to-checksum object"
         )
-    required = ["vectors.json", "vectors.bin"]
-    if cfg.align:
-        required.append("align.json")
-    for name in required:
+    written = _members(cfg)
+    for name in written:
         if name not in members:
             raise SchemaError("/checksums", f"bundle manifest lists no {name}")
+    unknown = sorted(members.keys() - set(written))
+    if unknown:
+        raise SchemaError(
+            "/checksums",
+            f"bundle manifest lists members its config does not write: {unknown}",
+        )
     for name, expected in members.items():
         actual = hashlib.sha256((src / name).read_bytes()).hexdigest()
         if actual != expected:
             raise ChecksumError(f"bundle member {name} does not match its checksum")
     graph = load_graph(src)
     index = _index_from_json(json.loads((src / "index.json").read_text("utf-8")))
-    alignment = None
-    if "align.json" in members:
-        alignment = load_alignment(src / "align.json")
-    router = None
-    if "router.json" in members:
-        router = RouterModel.from_json(
-            json.loads((src / "router.json").read_text("utf-8"))
-        )
+    alignment = load_alignment(src / "align.json") if cfg.align else None
     return Bundle(
         path=src,
         graph=graph,
@@ -299,23 +293,18 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         clients=clients or make_clients(offline=cfg.offline),
         vectors=load_vectors(src),
         alignment=alignment,
-        router=router,
     )
 
 
 # --- engine assembly --------------------------------------------------------
 
-def make_engine(
-    bundle: Bundle,
-    router: Optional[RouterModel] = None,
-) -> QueryEngine:
+def make_engine(bundle: Bundle) -> QueryEngine:
     """Retrieval engine over a bundle's graph and vectors."""
     cfg = bundle.config
     return QueryEngine(
         bundle.graph,
         bundle.vectors,
         config=RetrievalConfig(budget=cfg.budget, khop=cfg.khop),
-        router=router if router is not None else bundle.router,
     )
 
 

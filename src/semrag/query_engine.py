@@ -16,8 +16,9 @@ the chosen strategy all rank that one vector. The gazetteer, compiled
 once per engine, is matched once per retrieval too; the entity-count
 feature and the med route's term anchors share the result.
 
-The router has a deterministic rule fallback and an optional trained
-classifier (a small seeded MLP over standardized features).
+One rule table, rule_route, is the router: it reads the four features
+and picks the route, so why a question took its route is read off that
+one function.
 evidence_record turns each node kind into one English statement;
 build_prompt lays the records out as numbered evidence lines, the layout
 that llm_clients.OfflineLlmClient parses back.
@@ -34,13 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ClassMissingError,
-    DanglingNode,
-    EmptyIndex,
-    NoMacroNodes,
-    SchemaError,
-)
+from .errors import DanglingNode, EmptyIndex, NoMacroNodes, SchemaError
 from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
 from .layout_compiler import CellHit, Gazetteer, header_index, lookup_cell
 from .llm_clients import LlmClient, count_tokens
@@ -278,138 +273,15 @@ FEATURE_NAMES = ("query_length", "entity_count", "has_symbolic", "hit_entropy")
 
 
 def rule_route(features: Sequence[float]) -> Route:
-    """Deterministic fallback: symbols or several entities mean structure,
-    vague long queries with scattered hits mean summaries, the rest is flat."""
+    """The route of a question's features: symbols or several entities mean
+    structure, vague long queries with scattered hits mean summaries, the
+    rest is flat."""
     query_length, entity_count, has_symbolic, hit_entropy = features
     if has_symbolic >= 1.0 or entity_count >= 2:
         return Route.MED
     if entity_count == 0 and query_length >= 12 and hit_entropy >= 2.5:
         return Route.HIGH
     return Route.LOW
-
-
-@dataclass
-class RouterConfig:
-    hidden: int = 16
-    epochs: int = 300
-    lr: float = 0.1
-    seed: int = 0
-
-
-class RouterModel:
-    """Seeded one-hidden-layer classifier over standardized features."""
-
-    def __init__(self, config: Optional[RouterConfig] = None):
-        self.config = config or RouterConfig()
-        self.mean: Optional[np.ndarray] = None
-        self.std: Optional[np.ndarray] = None
-        self.w1 = self.b1 = self.w2 = self.b2 = None
-
-    def train(self, features: np.ndarray, labels: Sequence[int]) -> list[float]:
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-        present = set(int(v) for v in y)
-        if present != {0, 1, 2}:
-            missing = sorted({0, 1, 2} - present)
-            raise ClassMissingError(
-                f"training data must include every route, missing classes {missing}"
-            )
-        cfg = self.config
-        self.mean = x.mean(axis=0)
-        self.std = x.std(axis=0)
-        self.std[self.std == 0] = 1.0
-        z = (x - self.mean) / self.std
-        rng = np.random.default_rng(cfg.seed)
-        n_in, n_hidden, n_out = x.shape[1], cfg.hidden, 3
-        self.w1 = rng.normal(0, 1.0 / math.sqrt(n_in), (n_in, n_hidden))
-        self.b1 = np.zeros(n_hidden)
-        self.w2 = rng.normal(0, 1.0 / math.sqrt(n_hidden), (n_hidden, n_out))
-        self.b2 = np.zeros(n_out)
-        onehot = np.eye(n_out)[y]
-        history = []
-        for _ in range(cfg.epochs):
-            hidden = np.tanh(z @ self.w1 + self.b1)
-            logits = hidden @ self.w2 + self.b2
-            logits -= logits.max(axis=1, keepdims=True)
-            exp = np.exp(logits)
-            probs = exp / exp.sum(axis=1, keepdims=True)
-            loss = float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-15)))
-            history.append(loss)
-            grad_logits = (probs - onehot) / len(y)
-            grad_w2 = hidden.T @ grad_logits
-            grad_b2 = grad_logits.sum(axis=0)
-            grad_hidden = (grad_logits @ self.w2.T) * (1 - hidden**2)
-            grad_w1 = z.T @ grad_hidden
-            grad_b1 = grad_hidden.sum(axis=0)
-            self.w2 -= cfg.lr * grad_w2
-            self.b2 -= cfg.lr * grad_b2
-            self.w1 -= cfg.lr * grad_w1
-            self.b1 -= cfg.lr * grad_b1
-        return history
-
-    def predict_proba(self, features: Sequence[float]) -> np.ndarray:
-        if self.w1 is None:
-            raise ClassMissingError("router model is untrained")
-        z = (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-        hidden = np.tanh(z @ self.w1 + self.b1)
-        logits = hidden @ self.w2 + self.b2
-        logits -= logits.max()
-        exp = np.exp(logits)
-        return exp / exp.sum()
-
-    def predict(self, features: Sequence[float]) -> Route:
-        index = int(np.argmax(self.predict_proba(features)))
-        return (Route.LOW, Route.MED, Route.HIGH)[index]
-
-    def to_json(self) -> dict:
-        if self.w1 is None:
-            raise ClassMissingError("router model is untrained")
-        return {
-            "config": {
-                "hidden": self.config.hidden,
-                "epochs": self.config.epochs,
-                "lr": self.config.lr,
-                "seed": self.config.seed,
-            },
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RouterModel":
-        cfg = doc.get("config", {})
-        model = cls(
-            RouterConfig(
-                hidden=int(cfg.get("hidden", 16)),
-                epochs=int(cfg.get("epochs", 300)),
-                lr=float(cfg.get("lr", 0.1)),
-                seed=int(cfg.get("seed", 0)),
-            )
-        )
-        for name in ("mean", "std", "w1", "b1", "w2", "b2"):
-            setattr(model, name, np.asarray(doc[name], dtype=np.float64))
-        return model
-
-
-def train_router(
-    features: np.ndarray,
-    labels: Sequence[int],
-    config: Optional[RouterConfig] = None,
-) -> tuple[RouterModel, float]:
-    """Train a fresh router and report its training accuracy."""
-    model = RouterModel(config)
-    model.train(features, labels)
-    routes = (Route.LOW, Route.MED, Route.HIGH)
-    hits = sum(
-        1
-        for row, label in zip(np.asarray(features, dtype=np.float64), labels)
-        if model.predict(row) == routes[int(label)]
-    )
-    return model, hits / len(labels)
 
 
 # --- engine -----------------------------------------------------------------
@@ -493,7 +365,8 @@ def _entity_count(text: str, terms: set[str], surfaces: set[str]) -> int:
 
 
 class QueryEngine:
-    """Vector index plus router plus retrieval over one compiled graph.
+    """Vector index plus retrieval over one compiled graph, each question
+    routed by the rule table (rule_route) over its features.
 
     ``vectors`` is the persisted index, ``(node ids, matrix)`` as
     index_vectors computes it; its ids must be exactly the graph's
@@ -507,11 +380,9 @@ class QueryEngine:
         g: TypedGraph,
         vectors: tuple[Sequence[str], np.ndarray],
         config: Optional[RetrievalConfig] = None,
-        router: Optional[RouterModel] = None,
     ):
         self.g = g
         self.config = config or RetrievalConfig()
-        self.router = router
         ids, matrix = list(vectors[0]), np.asarray(vectors[1], dtype=np.float64)
         indexed = set(INDEXED_TYPES)
         expected = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
@@ -659,8 +530,6 @@ class QueryEngine:
 
     def _route(self, q: _Question) -> tuple[Route, list[float]]:
         features = self._features(q)
-        if self.router is not None and self.router.w1 is not None:
-            return self.router.predict(features), features
         return rule_route(features), features
 
     # -- retrieval --

@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .doc_model import (
     CellSpec,
     EquationBlock,
@@ -194,70 +192,6 @@ def synthetic_corpus(
     )
     rng.shuffle(gold)
     return SyntheticCorpus(docs=docs, gazetteer=gazetteer, gold=gold)
-
-
-# --- router training data ---------------------------------------------------
-
-def route_dataset(
-    n_queries: int = 300, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature vectors and route labels from class-defining templates.
-
-    Each template stays strictly inside its rule region (symbols or two
-    entities force the structural route; entity-free long vague queries
-    with scattered hits force the summary route; everything else is
-    direct lookup), so the rule table is the exact labeling function and
-    a trained classifier can be scored against clean labels. Features are
-    (query_length, entity_count, has_symbolic, hit_entropy).
-    """
-    rng = random.Random(seed)
-    rows: list[tuple[list[float], int]] = []
-    per_class = n_queries // 3
-    counts = [per_class, per_class, n_queries - 2 * per_class]
-    for _ in range(counts[0]):
-        rows.append(
-            (
-                [
-                    float(rng.randint(3, 9)),
-                    float(rng.randint(0, 1)),
-                    0.0,
-                    rng.uniform(0.3, 2.2),
-                ],
-                0,
-            )
-        )
-    for _ in range(counts[1]):
-        if rng.random() < 0.5:
-            features = [
-                float(rng.randint(4, 20)),
-                float(rng.randint(0, 3)),
-                1.0,
-                rng.uniform(0.5, 3.2),
-            ]
-        else:
-            features = [
-                float(rng.randint(4, 20)),
-                float(rng.randint(2, 4)),
-                0.0,
-                rng.uniform(0.5, 3.2),
-            ]
-        rows.append((features, 1))
-    for _ in range(counts[2]):
-        rows.append(
-            (
-                [
-                    float(rng.randint(12, 25)),
-                    0.0,
-                    0.0,
-                    rng.uniform(2.6, 3.3),
-                ],
-                2,
-            )
-        )
-    rng.shuffle(rows)
-    features = np.array([r[0] for r in rows], dtype=np.float64)
-    labels = np.array([r[1] for r in rows], dtype=np.int64)
-    return features, labels
 
 
 # --- planted graphs ---------------------------------------------------------

@@ -15,8 +15,7 @@ import pytest
 from semrag.graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
 from semrag.llm_clients import make_clients, summarize_with
 from semrag.pipeline import build_bundle, make_engine
-from semrag.sem_index import materialize_macronodes, sem_minimize
-from semrag.synth import planted_graph, synthetic_corpus
+from semrag.synth import synthetic_corpus
 
 REL = RelationType.REFERS_TO
 
@@ -282,11 +281,3 @@ def bundle50(corpus50, tmp_path_factory):
 @pytest.fixture(scope="session")
 def engine50(bundle50):
     return make_engine(bundle50)
-
-
-@pytest.fixture(scope="session")
-def planted10k():
-    """10,000-node planted-community graph with its minimized hierarchy."""
-    g = planted_graph(1000, 10, seed=3)
-    result = sem_minimize(g)
-    return g, result

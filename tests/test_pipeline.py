@@ -113,6 +113,14 @@ def test_aligned_manifest_without_alignment_fails_closed(tmp_path):
         load_bundle(tmp_path)
 
 
+def test_plain_manifest_listing_an_alignment_fails_closed(tmp_path):
+    """Only the members a build under the manifest's config writes load."""
+    build(tmp_path, align=True)
+    _edit_manifest(tmp_path, lambda m: m["config"].update(align=False))
+    with pytest.raises(SchemaError, match="align.json"):
+        load_bundle(tmp_path)
+
+
 def test_a_build_compiles_each_gazetteer_pattern_once(monkeypatch):
     """Past the 512 patterns Python's re cache holds, a per-document
     compile would miss the cache for every surface of every document."""

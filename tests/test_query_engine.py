@@ -1,6 +1,6 @@
 """QueryEngine: one query embedding per answer, the vector index
-contract, and the shared ranking and gazetteer match against the
-per-call implementations they replaced."""
+contract, the shared ranking and gazetteer match against the per-call
+implementations they replaced, and gold hit@k floors of routed retrieval."""
 
 from __future__ import annotations
 
@@ -286,3 +286,26 @@ def test_indexed_lookups_equal_graph_scans(built):
         for col_path in cols:
             want = _lookup(lambda r, c: lookup_cell(g, r, c), row_path, col_path)
             assert _lookup(engine.lookup, row_path, col_path) == want
+
+
+# Measured on synthetic_corpus(n_docs=50, seed=11), whose 650 gold
+# questions with a known target node route 300 low and 350 med. Runs are
+# deterministic, so a single lost hit fails.
+GOLD_TARGETED = 650
+GOLD_HIT_AT_1 = 618
+GOLD_HIT_AT_5 = 643
+
+
+def test_routed_evidence_meets_the_gold_hit_at_k_floors(corpus50, engine50):
+    targeted = hit1 = hit5 = 0
+    for query in corpus50.gold:
+        if query.expected_node is None:
+            continue
+        _, _, records = engine50.retrieve(query.question)
+        ids = [record.node_id for record in records]
+        targeted += 1
+        hit1 += ids[:1] == [query.expected_node]
+        hit5 += query.expected_node in ids[:5]
+    assert targeted == GOLD_TARGETED
+    assert hit1 >= GOLD_HIT_AT_1
+    assert hit5 >= GOLD_HIT_AT_5

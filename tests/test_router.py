@@ -1,67 +1,75 @@
-"""The learned router: training accuracy, the all-routes precondition, and
-how a bundle's router.json decides between the model and the rule table."""
+"""The rule table is the one router: its boundaries, the routes a built
+bundle's engine takes, and a bundle that lists a member no build writes."""
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
+import json
+
 import pytest
+from click.testing import CliRunner
 
-from semrag.errors import ClassMissingError
+from semrag.cli import EXIT_USER_ERROR, cli
+from semrag.llm_clients import ENV_LLM_ENDPOINT, ENV_OFFLINE
 from semrag.pipeline import build_bundle, load_bundle, make_engine
-from semrag.query_engine import Route, rule_route, train_router
-from semrag.synth import route_dataset, synthetic_corpus
-
-ROUTES = (Route.LOW, Route.MED, Route.HIGH)
+from semrag.query_engine import Route, rule_route
+from semrag.synth import synthetic_corpus
 
 
-def _accuracy(model, features, labels) -> float:
-    hits = sum(
-        model.predict(row) == ROUTES[int(label)] for row, label in zip(features, labels)
-    )
-    return hits / len(labels)
+@pytest.mark.parametrize(
+    "features, route",
+    [
+        ((5, 0, 1, 0.5), Route.MED),
+        ((20, 0, 1, 3.0), Route.MED),
+        ((5, 2, 0, 0.5), Route.MED),
+        ((20, 2, 0, 3.0), Route.MED),
+        ((5, 1, 0, 0.5), Route.LOW),
+        ((12, 0, 0, 2.5), Route.HIGH),
+        ((11, 0, 0, 2.5), Route.LOW),
+        ((12, 0, 0, 2.49), Route.LOW),
+        ((20, 1, 0, 3.0), Route.LOW),
+    ],
+    ids=[
+        "symbolic",
+        "symbolic-beats-summary",
+        "two-entities",
+        "two-entities-beat-summary",
+        "one-entity",
+        "summary-at-both-thresholds",
+        "length-below-threshold",
+        "entropy-below-threshold",
+        "one-entity-is-not-vague",
+    ],
+)
+def test_rule_table(features, route):
+    """Features are (query_length, entity_count, has_symbolic, hit_entropy)."""
+    assert rule_route([float(v) for v in features]) == route
 
 
-def test_router_learns_the_rule_regions():
-    features, labels = route_dataset(300, seed=0)
-    model, train_accuracy = train_router(features, labels)
-    assert train_accuracy >= 0.95
-    held_features, held_labels = route_dataset(300, seed=100)
-    assert _accuracy(model, held_features, held_labels) >= 0.95
-
-
-def test_router_refuses_labels_missing_a_route():
-    features, labels = route_dataset(300, seed=0)
-    keep = labels != 2
-    with pytest.raises(ClassMissingError):
-        train_router(features[keep], labels[keep])
-
-
-def _routes(engine, questions):
-    """(chosen route, features) for each question, as retrieval sees them."""
-    return [engine.route(q, engine.embed_query(q)) for q in questions]
-
-
-def test_bundle_router_round_trips_and_overrides_the_rule(tmp_path):
+def test_bundle_engine_routes_by_the_rule_table(tmp_path):
     corpus = synthetic_corpus(n_docs=3, seed=0)
-    questions = [query.question for query in corpus.gold]
-    features, labels = route_dataset(300, seed=0)
-    # Rotated labels teach a router that disagrees with the rule table, so
-    # routing by the model is told apart from routing by the rule.
-    router, _ = train_router(features, (labels + 1) % 3)
+    engine = make_engine(
+        load_bundle(build_bundle(corpus.docs, corpus.gazetteer, tmp_path).path)
+    )
+    for query in corpus.gold:
+        route, features = engine.route(query.question, engine.embed_query(query.question))
+        assert route == rule_route(features), query.question
 
-    with_router = build_bundle(corpus.docs, corpus.gazetteer, tmp_path / "a", router=router)
-    assert "router.json" in (tmp_path / "a" / "manifest.json").read_text("utf-8")
-    loaded = load_bundle(with_router.path)
-    assert loaded.router is not None
-    for name in ("mean", "std", "w1", "b1", "w2", "b2"):
-        assert np.array_equal(getattr(loaded.router, name), getattr(router, name))
-    routed = _routes(make_engine(loaded), questions)
-    assert [route for route, _ in routed] == [router.predict(f) for _, f in routed]
-    assert any(route != rule_route(f) for route, f in routed)
 
-    build_bundle(corpus.docs, corpus.gazetteer, tmp_path / "b")
-    assert not (tmp_path / "b" / "router.json").exists()
-    plain = load_bundle(tmp_path / "b")
-    assert plain.router is None
-    routed = _routes(make_engine(plain), questions)
-    assert [route for route, _ in routed] == [rule_route(f) for _, f in routed]
+def test_bundle_listing_a_router_member_is_user_error(tmp_path, monkeypatch):
+    """A manifest that lists a checksummed member build_bundle does not
+    write, as bundles carrying a trained router.json once did, is refused
+    rather than loaded without it."""
+    for name in (ENV_LLM_ENDPOINT, ENV_OFFLINE):
+        monkeypatch.delenv(name, raising=False)
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    member = tmp_path / "router.json"
+    member.write_bytes(b'{"w1": []}\n')
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    manifest["checksums"]["router.json"] = hashlib.sha256(member.read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(cli, ["query", str(tmp_path), corpus.gold[0].question])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: /checksums:" in result.output
