@@ -65,6 +65,7 @@ _USER_ERRORS = (
     MissingEndpoint,
     OSError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 _UPSTREAM_ERRORS = (HttpError, SummarizerError, TimeoutError)
 

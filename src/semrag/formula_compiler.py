@@ -542,11 +542,6 @@ def _attrs(prov: Provenance) -> dict:
 DEFINITIONS_TITLE = re.compile(r"\b(definition|symbol|abbreviation|notation)s?\b", re.I)
 
 
-def _defines_symbol(symbol: str, text: str) -> bool:
-    pattern = rf"\b{re.escape(symbol)}\b\s+(?:is|denotes|represents)\b"
-    return re.search(pattern, text) is not None
-
-
 def link_symbol_definitions(
     variables: Sequence[Var],
     doc: SourceDocument,
@@ -585,9 +580,10 @@ def link_symbol_definitions(
     pairs: list[tuple[str, str]] = []
     diagnostics: list[str] = []
     for var in variables:
+        defines = re.compile(rf"\b{re.escape(var.name)}\b\s+(?:is|denotes|represents)\b")
         found = None
         for para in own_clause + definitions_block:
-            if _defines_symbol(var.name, para.text):
+            if defines.search(para.text):
                 found = para.id
                 break
         if found is None:

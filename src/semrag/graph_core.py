@@ -90,16 +90,24 @@ class GraphFragment:
 
     nodes: list[Node] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
+    # edges added so far per (src, rel, dst); the next one's id suffix
+    _counts: dict[tuple[str, RelationType, str], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add_node(self, node: Node) -> Node:
         self.nodes.append(node)
         return node
 
     def add_edge(self, src: str, rel: RelationType, dst: str, attrs: Optional[dict] = None) -> Edge:
-        k = sum(1 for e in self.edges if e.src == src and e.dst == dst and e.rel == rel)
+        k = self._counts.get((src, rel, dst), 0)
+        self._counts[(src, rel, dst)] = k + 1
         edge = Edge(edge_id(src, rel, dst, k), src, dst, rel, attrs or {})
         self.edges.append(edge)
         return edge
+
+    def has_edge(self, src: str, rel: RelationType, dst: str) -> bool:
+        return (src, rel, dst) in self._counts
 
 
 def normalize_term(surface: str) -> str:

@@ -14,10 +14,16 @@ evidence extraction can read provenance without leaving the graph.
 
 from __future__ import annotations
 
+import _sre
 import logging
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
+
+try:
+    from re._casefix import _EXTRA_CASES
+except ImportError:  # Python 3.10 keeps the same table in sre_compile
+    from sre_compile import _ignorecase_fixes as _EXTRA_CASES
 
 from .doc_model import (
     EquationBlock,
@@ -77,13 +83,48 @@ def _prov_attrs(prov: Provenance) -> dict:
     return {"prov": prov.to_json()}
 
 
+# re.IGNORECASE puts U+0345, which is not a word character, in one case
+# class with the word characters U+0399, U+03B9 and U+1FBE. It is the only
+# class that mixes the two, so only a surface holding one of them can
+# match where the text's words do not spell the surface's own words.
+_IOTA_CLASS = re.compile("[\u0345\u0399\u03b9\u1fbe]")
+_WORD = re.compile(r"\w+")
+
+
+def _fold(word: str) -> str:
+    """A word as re.IGNORECASE compares it: two words fold alike exactly
+    when each matches the other case-insensitively.
+
+    str.lower and str.casefold do not: both part İ and ı from i, and lower
+    also parts ſ from s and µ from μ. Each character folds to the least
+    member of its re.IGNORECASE class; for ASCII that is its lowercase.
+    """
+    if word.isascii():
+        return word.lower()
+    folded = []
+    for char in word:
+        low = _sre.unicode_tolower(ord(char))
+        folded.append(chr(min((low,) + _EXTRA_CASES.get(low, ()))))
+    return "".join(folded)
+
+
 class Gazetteer:
     """Term surfaces, longest first, each with its compiled whole-word,
-    case-insensitive pattern.
+    case-insensitive pattern, filed under the longest word it spells.
 
     Compiling is the expensive part of matching: Python's own pattern
     cache holds 512 entries, so a larger gazetteer would miss it on every
     use. Compile one per build or per engine and reuse it.
+
+    Scanning is the other part: every surface's pattern over every text
+    grows as texts x surfaces. A surface can only match a text one of
+    whose words folds (as re.IGNORECASE folds it) to the surface's
+    longest word, because a whole-word match keeps each of the surface's
+    words a whole word of the text. So candidates(text) runs only the
+    patterns filed under the text's own words, and each pattern stays the
+    one definition of a match. Surfaces without a word character, and
+    surfaces holding the one case class that mixes word and non-word
+    characters, are candidates for every text.
     """
 
     def __init__(self, surfaces: Iterable[str]):
@@ -94,26 +135,50 @@ class Gazetteer:
             for surface in vocab
             if surface.strip()
         ]
+        self._always: list[int] = []  # positions in self.patterns
+        self._by_word: dict[str, list[int]] = {}
+        for position, (surface, _) in enumerate(self.patterns):
+            words = _WORD.findall(surface)
+            if not words or _IOTA_CLASS.search(surface):
+                self._always.append(position)
+            else:
+                longest = _fold(max(words, key=len))
+                self._by_word.setdefault(longest, []).append(position)
+        # the definition patterns of each matched spelling, compiled once
+        self._definitions: dict[str, tuple[re.Pattern, re.Pattern, re.Pattern]] = {}
+
+    def candidates(self, text: str) -> list[tuple[str, re.Pattern]]:
+        """The (surface, pattern) pairs that can match the text, longest
+        first; a match is still whatever the pattern finds."""
+        positions = set(self._always)
+        for word in {_fold(word) for word in _WORD.findall(text)}:
+            positions.update(self._by_word.get(word, ()))
+        return [self.patterns[position] for position in sorted(positions)]
 
     def mentioned(self, text: str) -> list[str]:
         """Surfaces found anywhere in the text, longest first."""
-        return [surface for surface, pattern in self.patterns if pattern.search(text)]
+        return [
+            surface for surface, pattern in self.candidates(text) if pattern.search(text)
+        ]
+
+    def defines(self, spelling: str, text: str) -> bool:
+        """True when the paragraph introduces the term, spelt as it was
+        matched there, rather than just using it."""
+        patterns = self._definitions.get(spelling)
+        if patterns is None:
+            escaped = re.escape(spelling)
+            patterns = (
+                re.compile(rf"\s*{escaped}\s+(?:is|are|denotes|means)\b", re.IGNORECASE),
+                re.compile(rf"\s*{escaped}\s*:", re.IGNORECASE),
+                # expansion pattern: "Long Form (ABBR)" introduces the abbreviation
+                re.compile(rf"\w[\w-]*(?:\s+[\w-]+)*\s+\({escaped}\)"),
+            )
+            self._definitions[spelling] = patterns
+        verb, colon, expansion = patterns
+        return bool(verb.match(text) or colon.match(text) or expansion.search(text))
 
 
 # --- text compilation -------------------------------------------------------
-
-def _definitional(surface: str, text: str) -> bool:
-    """True when the paragraph introduces the term rather than just using it."""
-    escaped = re.escape(surface)
-    if re.match(rf"\s*{escaped}\s+(?:is|are|denotes|means)\b", text, re.IGNORECASE):
-        return True
-    if re.match(rf"\s*{escaped}\s*:", text, re.IGNORECASE):
-        return True
-    # expansion pattern: "Long Form (ABBR)" introduces the abbreviation
-    if re.search(rf"\w[\w-]*(?:\s+[\w-]+)*\s+\({escaped}\)", text):
-        return True
-    return False
-
 
 def _enclosing_section(doc: SourceDocument, block_id: str) -> Optional[SectionBlock]:
     """Nearest section preceding the block in reading order."""
@@ -195,7 +260,7 @@ def compile_text(
         frag.add_edge(section_node[block.parent_section], RelationType.CONTAINS, para_id)
 
         covered: list[tuple[int, int]] = []
-        for surface, pattern in gazetteer.patterns:
+        for surface, pattern in gazetteer.candidates(block.text):
             for m in pattern.finditer(block.text):
                 span = (m.start(), m.end())
                 if any(s < span[1] and span[0] < e for s, e in covered):
@@ -209,14 +274,10 @@ def compile_text(
                         Node(term_id, NodeType.TERM, surface, _prov_attrs(block.prov))
                     )
                     out.term_ids[key] = term_id
-                if not any(
-                    e.src == para_id and e.dst == term_id and e.rel == RelationType.REFERS_TO
-                    for e in frag.edges
-                ):
+                if not frag.has_edge(para_id, RelationType.REFERS_TO, term_id):
                     frag.add_edge(para_id, RelationType.REFERS_TO, term_id)
-                if _definitional(m.group(0), block.text) and not any(
-                    e.src == term_id and e.dst == para_id and e.rel == RelationType.DEFINES
-                    for e in frag.edges
+                if gazetteer.defines(m.group(0), block.text) and not frag.has_edge(
+                    term_id, RelationType.DEFINES, para_id
                 ):
                     frag.add_edge(term_id, RelationType.DEFINES, para_id)
 

@@ -14,7 +14,10 @@ product of the index matrix with the query gives a score per indexed
 node, and the hit-entropy feature, the med route's vector anchors and
 the chosen strategy all rank that one vector. The gazetteer, compiled
 once per engine, is matched once per retrieval too; the entity-count
-feature and the med route's term anchors share the result.
+feature and the med route's term anchors share the result. That match
+runs only the patterns of surfaces whose longest word is one of the
+question's words (Gazetteer.candidates), so its cost follows the
+question's length rather than the gazetteer's size.
 
 One rule table, rule_route, is the router: it reads the four features
 and picks the route, so why a question took its route is read off that
@@ -371,8 +374,9 @@ class QueryEngine:
     ``vectors`` is the persisted index, ``(node ids, matrix)`` as
     index_vectors computes it; its ids must be exactly the graph's
     indexable nodes in id order, and its rows EMBED_DIM wide.
-    Construction compiles the gazetteer's term surfaces and indexes the
-    table headers once, so no question or lookup rescans the graph.
+    Construction compiles and word-indexes the gazetteer's term surfaces
+    and indexes the table headers once, so no question or lookup rescans
+    the graph.
     """
 
     def __init__(

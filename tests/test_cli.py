@@ -237,3 +237,39 @@ def test_manifest_config_value_of_the_wrong_type_is_user_error(tmp_path, env):
         result = runner.invoke(cli, command)
         assert result.exit_code == EXIT_USER_ERROR, result.output
         assert "error: /config/budget:" in result.output
+
+
+@pytest.mark.parametrize(
+    "member, command",
+    [("manifest.json", "stats"), ("graph_manifest.json", "query")],
+)
+def test_bundle_member_that_is_not_utf8_is_user_error(tmp_path, env, member, command):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    (out / member).write_bytes(b"\xff\xfe" + (out / member).read_bytes())
+    args = [command, str(out)] + ([QUESTION] if command == "query" else [])
+    result = runner.invoke(cli, args)
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: 'utf-8' codec can't decode" in result.output
+
+
+def test_corpus_gazetteer_that_is_not_utf8_is_user_error(tmp_path, env):
+    src = _corpus_dir(tmp_path)
+    (src / "gazetteer.json").write_bytes(b'\xff["HARQ"]')
+    result = CliRunner().invoke(cli, ["index", str(src), "--out", str(tmp_path / "out")])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: 'utf-8' codec can't decode" in result.output
+
+
+def test_gazetteer_file_that_is_not_utf8_is_user_error(tmp_path, env):
+    terms = tmp_path / "terms.txt"
+    terms.write_bytes(b"HARQ\n\xff\n")
+    result = CliRunner().invoke(
+        cli,
+        ["index", str(_corpus_dir(tmp_path)), "--out", str(tmp_path / "out"),
+         "--gazetteer", str(terms)],
+    )
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: 'utf-8' codec can't decode" in result.output

@@ -2,8 +2,11 @@
 
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spanned_table
 from semrag.doc_model import (
@@ -18,6 +21,7 @@ from semrag.doc_model import (
 from semrag.errors import HeaderAmbiguityError, NotFound
 from semrag.graph_core import NodeType, RelationType, TypedGraph, merge_units
 from semrag.layout_compiler import (
+    Gazetteer,
     compile_table,
     compile_text,
     lookup_cell,
@@ -112,6 +116,47 @@ def test_definitional_sentences_emit_definition_edges():
     g = merge_units([result.fragment])
     defines = {(e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.DEFINES}
     assert defines == {("term:harq", "DOC:p1")}
+
+
+SURFACES = [
+    "HARQ", "HARQ-ACK", "ACK", "spectral efficiency", "efficiency", "C++",
+    ".NET", "++", "\u017ftate", "\u212aelvin", "\u0130nit", "\u00b5s",
+    "stra\u00dfe", "x\u03b9", "x\u0345y",
+]
+WORDS = SURFACES + [
+    "STATE", "kelvin", "INIT", "\u03bcs", "STRA\u1e9eE", "x\u0345", "harq",
+    "is", "means", ":", "(", ")", "the", "11",
+]
+
+
+@st.composite
+def paragraph_texts(draw):
+    """Surfaces, their case partners and punctuation run together, some
+    opening the way a definition does."""
+    frame = draw(st.sampled_from(["{} ", "{} is ", "{}: ", "Long Form ({}) "]))
+    text = frame.format(draw(st.sampled_from(WORDS)))
+    pieces = draw(st.lists(st.sampled_from(WORDS), max_size=10))
+    return text + "".join(piece + draw(st.sampled_from([" ", "", "-", ". "])) for piece in pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(paragraph_texts(), min_size=1, max_size=4),
+    st.lists(st.sampled_from(SURFACES), max_size=8),
+)
+def test_term_links_equal_a_loop_over_every_pattern(texts, surfaces):
+    """The word index only skips patterns that cannot match: compile_text
+    emits the same term nodes and edges as running every pattern."""
+    blocks = [SectionBlock("s1", prov(), 1, "Terms")] + [
+        ParagraphBlock(f"p{i}", prov(slot=i + 1), text, "s1")
+        for i, text in enumerate(texts)
+    ]
+    doc = make_doc(blocks)
+    indexed = compile_text(doc, gazetteer=surfaces).fragment
+    with mock.patch.object(Gazetteer, "candidates", lambda self, text: self.patterns):
+        every = compile_text(doc, gazetteer=surfaces).fragment
+    assert [(n.id, n.text) for n in indexed.nodes] == [(n.id, n.text) for n in every.nodes]
+    assert [e.id for e in indexed.edges] == [e.id for e in every.edges]
 
 
 def test_clause_references_resolve_to_sections():

@@ -187,6 +187,16 @@ OVERLAPPING = [
     "spectral efficiency", "efficiency", "spectral", "Spectral Efficiency",
     "HARQ", "HARQ-ACK", "ACK", "ack", "CQI report", "report", "a.b", "",
 ]
+# surfaces edged by punctuation or holding no word character
+PUNCTUATED = ["C++", ".NET", "++", "-.-"]
+# spellings re.IGNORECASE matches to each other although str.lower or
+# str.casefold tells them apart; U+0345 is not a word character, and its
+# case partners are
+CASE_PARTNERS = [
+    "\u017ftate", "state", "\u212aelvin", "kelvin", "\u0130nit", "\u0131nit",
+    "init", "INIT", "\u00b5s", "\u03bcs", "stra\u00dfe", "STRA\u1e9eE",
+    "x\u03b9", "x\u0345", "x\u0345y", "X\u0399Y",
+]
 
 
 def per_surface_hits(gazetteer: dict[str, str], text: str) -> tuple[set[str], set[str]]:
@@ -203,7 +213,8 @@ def per_surface_hits(gazetteer: dict[str, str], text: str) -> tuple[set[str], se
 
 @st.composite
 def mention_texts(draw):
-    pieces = draw(st.lists(st.sampled_from(OVERLAPPING + ["the", "x1", "LTE"]), max_size=8))
+    vocabulary = OVERLAPPING + PUNCTUATED + CASE_PARTNERS + ["the", "x1", "LTE"]
+    pieces = draw(st.lists(st.sampled_from(vocabulary), max_size=8))
     text = ""
     for piece in pieces:
         if draw(st.booleans()):
@@ -223,6 +234,14 @@ def term_graph() -> TypedGraph:
         "t:ack": ("ACK", ["ack", "HARQ-ACK"]),
         "t:cqi": ("CQI report", ["report", ""]),
         "t:ab": ("a.b", []),
+        "t:cpp": ("C++", [".NET"]),
+        "t:punct": ("++", ["-.-"]),
+        "t:state": ("\u017ftate", []),
+        "t:kelvin": ("\u212aelvin", []),
+        "t:init": ("\u0130nit", ["\u0131nit"]),
+        "t:micro": ("\u00b5s", []),
+        "t:street": ("stra\u00dfe", []),
+        "t:iota": ("x\u03b9", ["x\u0345y"]),
     }
     for nid, (text, surfaces) in terms.items():
         g.add_node(Node(nid, NodeType.TERM, text, {"surfaces": surfaces}))
@@ -247,6 +266,35 @@ def test_gazetteer_matches_equal_the_per_surface_search(text):
     assert engine.entity_count(text) == len(nodes) + len(acronyms)
     features = engine.features(text, engine.embed_query(text))
     assert features[1] == float(len(nodes) + len(acronyms))
+
+
+@pytest.mark.parametrize(
+    "surface, text",
+    [
+        ("C++", "C++11"),
+        (".NET", "x.NET"),
+        ("HARQ-ACK", "the harq-ack bit"),
+        ("++", "a++b"),
+        ("spectral efficiency", "SPECTRAL EFFICIENCY"),
+        ("\u017ftate", "the STATE"),
+        ("state", "the \u017ftate"),
+        ("\u212aelvin", "kelvin"),
+        ("kelvin", "\u212aELVIN"),
+        ("\u0130nit", "init"),
+        ("init", "\u0130NIT"),
+        ("\u0131nit", "INIT"),
+        ("\u00b5s", "\u03bcs"),
+        ("\u03bcs", "\u00b5S"),
+        ("stra\u00dfe", "STRA\u1e9eE"),
+        ("x\u03b9", "x\u0345y"),
+        ("x\u0345y", "X\u0399Y"),
+    ],
+)
+def test_each_case_partner_and_punctuated_surface_is_a_candidate(surface, text):
+    """re.IGNORECASE finds these surfaces in these texts, and so must the
+    word index in front of the patterns."""
+    assert re.search(rf"\b{re.escape(surface)}\b", text, re.IGNORECASE)
+    assert Gazetteer([surface, "other words"]).mentioned(text) == [surface]
 
 
 # --- high route and header lookups without a graph scan ----------------------------
