@@ -263,9 +263,7 @@ def cmd_stats(bundle_dir, as_json):
     """Entropy, community, merge-trace and indexing-token statistics.
 
     index_tokens is what summarizing the communities cost: the tokens_used
-    recorded on the macro nodes. level_sizes counts the communities at each
-    level of the hierarchy, so a flat prompt-per-community-per-level
-    baseline costs prompt_tokens * sum(level_sizes).
+    recorded on the macro nodes.
     """
     bundle = _load(bundle_dir)
     base = base_projection(bundle.graph)
@@ -285,7 +283,6 @@ def cmd_stats(bundle_dir, as_json):
         int(node.attrs["tokens_used"])
         for node in bundle.graph.nodes_of_type(NodeType.MACRO_NODE)
     )
-    level_sizes = [len(set(level.values())) for level in bundle.index.levels]
     payload = {
         "nodes": len(bundle.graph.nodes),
         "edges": len(bundle.graph.edges),
@@ -294,8 +291,6 @@ def cmd_stats(bundle_dir, as_json):
         "flat_entropy_bits": round(flat, 9),
         "partition_entropy_bits": round(partitioned, 9),
         "communities": len(bundle.index.communities),
-        "levels": len(bundle.index.levels),
-        "level_sizes": level_sizes,
         "index_tokens": index_tokens,
         "community_size_histogram": {
             str(size): count for size, count in sorted(histogram.items())
@@ -314,8 +309,6 @@ def cmd_stats(bundle_dir, as_json):
     click.echo(f"flat entropy: {flat:.6f} bits")
     click.echo(f"partition entropy: {partitioned:.6f} bits")
     click.echo(f"communities: {payload['communities']}")
-    click.echo(f"levels: {payload['levels']}")
-    click.echo(f"level sizes: {' '.join(map(str, level_sizes)) or '(none)'}")
     click.echo(f"index tokens: {index_tokens}")
     sizes = " ".join(
         f"{size}x{count}" for size, count in sorted(histogram.items())

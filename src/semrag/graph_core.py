@@ -275,12 +275,11 @@ def merge_units(fragments: Iterable[GraphFragment]) -> TypedGraph:
 
 @dataclass
 class Subgraph:
-    """Induced result of a bounded K-hop expansion."""
+    """Members of a bounded K-hop expansion, ordered by (hop, node id),
+    and each member's hop distance from the nearest anchor."""
 
     nodes: list[str]
     hops: dict[str, int]
-    edge_ids: list[str]
-    anchors: list[str]
 
 
 DEFAULT_KHOP_BUDGET = 512
@@ -296,9 +295,9 @@ def khop_expand(
     """Breadth-first ball of radius k over allowed relations, both directions.
 
     Deterministic: each frontier is processed in ascending node id order and
-    the node budget cuts the final frontier in that same order. The edge
-    ids are the allowed edges between members, read from the members' own
-    incident edges, so the cost follows the ball, not the graph.
+    the node budget cuts the final frontier in that same order. Anchors not
+    in the graph are ignored. Only the members' own incident edges are
+    read, so the cost follows the ball, not the graph.
     """
     valid = sorted(a for a in anchors if a in g.nodes)
     if not valid:
@@ -322,16 +321,7 @@ def khop_expand(
                 break
             hops[other] = depth + 1
             frontier.append(other)
-    members = sorted(hops, key=lambda n: (hops[n], n))
-    edge_ids = sorted(
-        {
-            edge.id
-            for nid in members
-            for edge in g.incident_edges(nid)
-            if edge.rel in allowed and edge.src in hops and edge.dst in hops
-        }
-    )
-    return Subgraph(nodes=members, hops=hops, edge_ids=edge_ids, anchors=valid)
+    return Subgraph(nodes=sorted(hops, key=lambda n: (hops[n], n)), hops=hops)
 
 
 # --- persistence ------------------------------------------------------------

@@ -142,7 +142,6 @@ def compile_corpus(
 def _index_to_json(result: MinimizeResult) -> dict:
     return {
         "partition": result.partition,
-        "levels": result.levels,
         "dendrogram": [[m.a, m.b, m.merged, m.delta] for m in result.dendrogram],
         "h1": result.h1,
         "h2": result.h2,
@@ -160,7 +159,6 @@ def _index_from_json(obj: dict) -> MinimizeResult:
         partition=dict(obj["partition"]),
         communities=communities,
         dendrogram=[Merge(a, b, m, d) for a, b, m, d in obj["dendrogram"]],
-        levels=[dict(level) for level in obj["levels"]],
         h1=obj["h1"],
         h2=obj["h2"],
         epsilon=obj["epsilon"],
@@ -188,7 +186,7 @@ def build_bundle(
     """Compile, index, summarize, and persist one corpus.
 
     The bundle directory holds the graph (nodes and edges plus their own
-    manifest), the hierarchy index with its dendrogram, the vector index
+    manifest), the community index with its dendrogram, the vector index
     sidecar, the optional alignment model, and a manifest
     with configuration, counts, and content checksums. Wall-clock data
     goes to a separate ledger file outside the checksummed set, so two
@@ -215,8 +213,8 @@ def build_bundle(
     if cfg.align:
         alignment = train_alignment(graph, seed=cfg.seed)
         save_alignment(out / "align.json", alignment)
-    ids, matrix = index_vectors(graph)
-    save_vectors(out, ids, matrix)
+    ids, counts = index_vectors(graph)
+    save_vectors(out, ids, counts)
     checksums = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in _members(cfg)
@@ -229,7 +227,6 @@ def build_bundle(
             "nodes": len(graph.nodes),
             "edges": len(graph.edges),
             "communities": len(index.communities),
-            "levels": len(index.levels),
         },
         "checksums": checksums,
     }
@@ -241,7 +238,7 @@ def build_bundle(
         index=index,
         config=cfg,
         clients=clients,
-        vectors=(ids, matrix),
+        vectors=(ids, counts),
         alignment=alignment,
     )
 

@@ -43,7 +43,7 @@ from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
 from .layout_compiler import CellHit, Gazetteer, header_index, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
-from .vector_align import EMBED_DIM, embed_text
+from .vector_align import EMBED_DIM, embed_text, hash_counts
 
 
 class Route(Enum):
@@ -334,16 +334,17 @@ def build_prompt(question: str, records: Sequence[EvidenceRecord]) -> str:
 
 
 def index_vectors(g: TypedGraph) -> tuple[list[str], np.ndarray]:
-    """Hashed retrieval text of every indexable node, rows sorted by node id.
+    """Hash counts of the retrieval text of every indexable node, rows
+    sorted by node id.
 
-    The matrix is ``len(ids)`` by EMBED_DIM, with or without alignment.
+    The int32 matrix is ``len(ids)`` by EMBED_DIM, with or without alignment.
     """
     indexed = set(INDEXED_TYPES)
     ids = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
-    matrix = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
+    counts = np.zeros((len(ids), EMBED_DIM), dtype=np.int32)
     for row, nid in enumerate(ids):
-        matrix[row] = embed_text(retrieval_text(g, nid))
-    return ids, matrix
+        counts[row] = hash_counts(retrieval_text(g, nid))
+    return ids, counts
 
 
 @dataclass
@@ -371,9 +372,11 @@ class QueryEngine:
     """Vector index plus retrieval over one compiled graph, each question
     routed by the rule table (rule_route) over its features.
 
-    ``vectors`` is the persisted index, ``(node ids, matrix)`` as
+    ``vectors`` is the persisted index, ``(node ids, counts)`` as
     index_vectors computes it; its ids must be exactly the graph's
-    indexable nodes in id order, and its rows EMBED_DIM wide.
+    indexable nodes in id order, and its rows EMBED_DIM wide. Dividing
+    the rows by their norms here, all at once, gives the bits embed_text
+    gives each text, since the norms of integer counts are exact.
     Construction compiles and word-indexes the gazetteer's term surfaces
     and indexes the table headers once, so no question or lookup rescans
     the graph.
@@ -387,7 +390,7 @@ class QueryEngine:
     ):
         self.g = g
         self.config = config or RetrievalConfig()
-        ids, matrix = list(vectors[0]), np.asarray(vectors[1], dtype=np.float64)
+        ids, matrix = list(vectors[0]), np.array(vectors[1], dtype=np.float64)
         indexed = set(INDEXED_TYPES)
         expected = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
         if ids != expected:
@@ -404,6 +407,8 @@ class QueryEngine:
         self._ids = ids
         self._row_of = {nid: row for row, nid in enumerate(ids)}
         self._types = [g.nodes[nid].type for nid in ids]
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, None]
+        np.divide(matrix, norms, out=matrix, where=norms > 0)
         self._matrix = matrix
         # index rows of each type set ranked so far, ascending (so in id order)
         self._rows: dict[Optional[frozenset[NodeType]], np.ndarray] = {}

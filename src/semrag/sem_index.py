@@ -1,4 +1,4 @@
-"""Entropy-guided hierarchical index over the typed graph.
+"""Entropy-guided two-level index over the typed graph.
 
 The indexer partitions the graph into communities by minimizing two-level
 structural entropy with one merge loop run twice. The first run merges
@@ -6,9 +6,8 @@ freely from singletons; refinement by single-node moves and community
 dissolution then improves its partition. The second run merges again from
 singletons, only inside the refined communities: its strictly improving
 merges are the dendrogram, and its endpoint, which may split a refined
-community, is the result. Snapshots taken while the first run coarsens
-become the retrieval hierarchy's levels, and materialize_macronodes
-attaches one summary node per final community.
+community, is the result. materialize_macronodes attaches one summary
+node per final community, the index's one level above the nodes.
 
 Degrees are taken on the undirected projection where a self-loop adds two;
 self-loops never cross a community boundary, so they shape the intra terms
@@ -32,7 +31,6 @@ from .errors import (
 from .graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
 
 EPSILON = 1e-12
-SNAPSHOT_FRACTION = 0.1
 PROB_TOLERANCE = 1e-9
 
 
@@ -355,17 +353,16 @@ class Merge:
 
 @dataclass
 class MinimizeResult:
-    """Final partition with its certifying dendrogram and coarsening levels.
+    """Final partition with its certifying dendrogram.
 
     partition maps node id to a stable community key (the smallest member
-    id); levels runs from the first coarsening snapshot down to the final
-    partition, each a full node-to-key mapping.
+    id); communities maps each key to its sorted members. Replaying the
+    dendrogram from singletons reaches exactly this partition.
     """
 
     partition: dict[str, str]
     communities: dict[str, list[str]]
     dendrogram: list[Merge]
-    levels: list[dict[str, str]]
     h1: float
     h2: float
     epsilon: float
@@ -385,17 +382,13 @@ def _greedy_merge(
     state: PartitionState,
     epsilon: float,
     group_of: Optional[dict[str, str]] = None,
-    snapshots: Optional[list[dict[str, str]]] = None,
-    thresholds: Iterable[int] = (),
 ) -> list[Merge]:
     """Largest-decrease-first pairwise merging with a lazily invalidated heap.
 
     With group_of (node id to group key), only two communities of one group
-    may merge. Each time the community count first falls to a threshold, a
-    snapshot of the partition goes to snapshots. Returns the merges made,
-    each of which lowered h2 by more than epsilon.
+    may merge. Returns the merges made, each of which lowered h2 by more
+    than epsilon.
     """
-    pending = list(thresholds)
 
     def group(comm: int):
         return None if group_of is None else group_of[next(iter(state.members[comm]))]
@@ -416,9 +409,6 @@ def _greedy_merge(
             break
         merged = state.merge(a, b)
         merges.append(Merge(a, b, merged, delta))
-        while pending and len(state.members) <= pending[0]:
-            pending.pop(0)
-            snapshots.append(state.labels_by_min_member())
         target = group(merged)
         for other in sorted(_comm_neighbors(state, merged)):
             if group(other) == target:
@@ -474,36 +464,22 @@ def _refine(state: PartitionState, epsilon: float) -> None:
 def sem_minimize(g: TypedGraph) -> MinimizeResult:
     """Partition the graph by minimizing two-level structural entropy.
 
-    One merge loop runs twice. It first merges freely from singletons,
-    taking the coarsening snapshots; refinement by single-node moves and
-    community dissolution then lowers h2 further. The loop then runs again
-    from fresh singletons, merging only inside a refined community. Its
-    merges are the dendrogram and its endpoint is the result, which may
-    split a refined community where no strictly improving merge joins its
-    parts. Deterministic for a given graph: ties break on community ids,
-    nodes are visited in sorted order.
+    One merge loop runs twice. It first merges freely from singletons;
+    refinement by single-node moves and community dissolution then lowers
+    h2 further. The loop then runs again from fresh singletons, merging
+    only inside a refined community. Its merges are the dendrogram and its
+    endpoint is the result, which may split a refined community where no
+    strictly improving merge joins its parts. Deterministic for a given
+    graph: ties break on community ids, nodes are visited in sorted order.
     """
     if not g.edges:
         raise EmptyGraph("minimization requires at least one edge")
     state = PartitionState.singletons(g)
-    n0 = len(state.members)
-    thresholds = []
-    fraction = SNAPSHOT_FRACTION
-    while fraction < 1.0:
-        count = math.floor(n0 * (1.0 - fraction))
-        if count < 1:
-            break
-        if not thresholds or count < thresholds[-1]:
-            thresholds.append(count)
-        fraction += SNAPSHOT_FRACTION
-    snapshots: list[dict[str, str]] = []
-    _greedy_merge(state, EPSILON, snapshots=snapshots, thresholds=thresholds)
+    _greedy_merge(state, EPSILON)
     _refine(state, EPSILON)
     final_state = PartitionState.singletons(g)
     merges = _greedy_merge(final_state, EPSILON, group_of=state.labels_by_min_member())
     partition = final_state.labels_by_min_member()
-    levels = [s for s in snapshots if s != partition]
-    levels.append(partition)
     communities: dict[str, list[str]] = {}
     for nid, key in partition.items():
         communities.setdefault(key, []).append(nid)
@@ -513,7 +489,6 @@ def sem_minimize(g: TypedGraph) -> MinimizeResult:
         partition=partition,
         communities=communities,
         dendrogram=merges,
-        levels=levels,
         h1=h1(g),
         h2=final_state.h2(),
         epsilon=EPSILON,

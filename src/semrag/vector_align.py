@@ -47,18 +47,21 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def embed_text(text: str, dim: int = EMBED_DIM) -> np.ndarray:
-    """Signed bag-of-words hash embedding, unit length (zero text stays zero)."""
-    vec = np.zeros(dim, dtype=np.float64)
+def hash_counts(text: str, dim: int = EMBED_DIM) -> np.ndarray:
+    """Signed bag-of-words bucket counts: each token adds +1 or -1 to one
+    of dim buckets, both chosen by its sha256 digest."""
+    counts = np.zeros(dim, dtype=np.int64)
     for token in tokenize(text):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:4], "big") % dim
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[bucket] += sign
-    return _unit(vec)
+        counts[bucket] += 1 if digest[4] & 1 else -1
+    return counts
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
+def embed_text(text: str, dim: int = EMBED_DIM) -> np.ndarray:
+    """Signed bag-of-words hash embedding: hash_counts scaled to unit
+    length (zero text stays zero)."""
+    vec = hash_counts(text, dim).astype(np.float64)
     norm = float(np.linalg.norm(vec))
     return vec / norm if norm > 0 else vec
 
@@ -264,28 +267,43 @@ def align_views(
     return result
 
 
-VECTORS_FORMAT_VERSION = 1
+VECTORS_FORMAT_VERSION = 2
+ALIGN_FORMAT_VERSION = 1
+
+# one non-zero count: its row, its bucket and the count itself
+_COO = np.dtype([("row", "<i4"), ("bucket", "<u2"), ("count", "<i4")])
 
 
-def save_vectors(dir_path, ids: Sequence[str], matrix: np.ndarray) -> None:
-    """Write a vector index as vectors.bin plus a vectors.json manifest.
+def save_vectors(dir_path, ids: Sequence[str], counts: np.ndarray) -> None:
+    """Write the hash counts index_vectors computes as vectors.bin plus a
+    vectors.json manifest.
 
-    The binary file holds the matrix row-major as little-endian float64;
-    the manifest records the dimension, the row order (node ids), and a
-    sha256 checksum of the binary payload so a torn write fails closed.
+    The binary file holds the non-zero counts in row-major order, each a
+    little-endian int32 row, uint16 bucket and int32 count: exact, and a
+    small part of the float rows they scale to. The manifest records the
+    dimension, the row order (node ids), and a sha256 checksum of the
+    binary payload so a torn write fails closed.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    mat = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
+    mat = np.asarray(counts)
     if mat.ndim != 2 or mat.shape[0] != len(ids):
         raise DimensionMismatch(
             f"matrix of shape {mat.shape} does not match {len(ids)} ids"
         )
-    payload = mat.tobytes(order="C")
+    rows, buckets = np.nonzero(mat)
+    values = mat[rows, buckets]
+    limits = np.iinfo(np.int32)
+    if not np.all(
+        (values == np.round(values)) & (limits.min <= values) & (values <= limits.max)
+    ):
+        raise SchemaError("/counts", "vector counts must be int32 integers")
+    entries = np.empty(len(values), dtype=_COO)
+    entries["row"], entries["bucket"], entries["count"] = rows, buckets, values
+    payload = entries.tobytes()
     (out / "vectors.bin").write_bytes(payload)
     manifest = {
         "format_version": VECTORS_FORMAT_VERSION,
-        "dtype": "<f8",
         "count": int(mat.shape[0]),
         "dim": int(mat.shape[1]),
         "ids": list(ids),
@@ -297,7 +315,7 @@ def save_vectors(dir_path, ids: Sequence[str], matrix: np.ndarray) -> None:
 
 
 def load_vectors(dir_path) -> tuple[list[str], np.ndarray]:
-    """Load a vector index written by save_vectors, verifying the checksum."""
+    """Load the hash counts written by save_vectors, verifying the checksum."""
     src = Path(dir_path)
     manifest = json.loads((src / "vectors.json").read_text(encoding="utf-8"))
     if manifest.get("format_version") != VECTORS_FORMAT_VERSION:
@@ -314,19 +332,23 @@ def load_vectors(dir_path) -> tuple[list[str], np.ndarray]:
         raise SchemaError(
             "/ids", f"vector manifest lists {len(ids)} ids for count {count}"
         )
-    expected = count * dim * 8
-    if len(payload) != expected:
+    if len(payload) % _COO.itemsize:
         raise SchemaError(
-            "/count", f"vectors.bin holds {len(payload)} bytes, expected {expected}"
+            "/count", f"vectors.bin holds {len(payload)} bytes, not whole entries"
         )
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
-    return ids, matrix
+    entries = np.frombuffer(payload, dtype=_COO)
+    rows, buckets = entries["row"], entries["bucket"]
+    if len(entries) and not (0 <= rows.min() and rows.max() < count and buckets.max() < dim):
+        raise SchemaError("/count", "vectors.bin holds an entry outside the matrix")
+    counts = np.zeros((count, dim), dtype=np.int32)
+    counts[rows, buckets] = entries["count"]
+    return ids, counts
 
 
 def save_alignment(path, result: AlignResult) -> None:
     """Persist trained projections as JSON (row-major nested lists)."""
     doc = {
-        "format_version": VECTORS_FORMAT_VERSION,
+        "format_version": ALIGN_FORMAT_VERSION,
         "w_text": result.w_text.tolist(),
         "w_topo": result.w_topo.tolist(),
         "loss_history": [float(v) for v in result.loss_history],
@@ -339,7 +361,7 @@ def save_alignment(path, result: AlignResult) -> None:
 def load_alignment(path) -> AlignResult:
     """Load projections written by save_alignment."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != VECTORS_FORMAT_VERSION:
+    if doc.get("format_version") != ALIGN_FORMAT_VERSION:
         raise FormatVersionError(
             f"unsupported alignment model version {doc.get('format_version')!r}"
         )

@@ -184,7 +184,6 @@ def test_khop_zero_returns_anchors_only():
     sub = khop_expand(g, {"n2"}, 0, {RelationType.REFERS_TO})
     assert sub.nodes == ["n2"]
     assert sub.hops == {"n2": 0}
-    assert sub.edge_ids == []
 
 
 def test_khop_radius_controls_reach_both_directions():
@@ -192,7 +191,7 @@ def test_khop_radius_controls_reach_both_directions():
     sub = khop_expand(g, {"n3"}, 2, {RelationType.REFERS_TO})
     assert set(sub.nodes) == {"n1", "n2", "n3", "n4", "n5"}
     assert sub.hops["n1"] == 2 and sub.hops["n5"] == 2 and sub.hops["n3"] == 0
-    assert len(sub.edge_ids) == 4
+    assert sub.nodes == ["n3", "n2", "n4", "n1", "n5"]
 
 
 def test_khop_filters_by_relation_type():
@@ -214,7 +213,8 @@ def test_khop_budget_truncates_in_id_order():
 def test_khop_ignores_unknown_anchors_but_needs_one():
     g = _line_graph(3)
     sub = khop_expand(g, {"n0", "ghost"}, 1, {RelationType.REFERS_TO})
-    assert sub.anchors == ["n0"]
+    assert sub.nodes == ["n0", "n1"]
+    assert sub.hops == {"n0": 0, "n1": 1}
     with pytest.raises(EmptyAnchors):
         khop_expand(g, {"ghost"}, 1, {RelationType.REFERS_TO})
 
@@ -248,25 +248,42 @@ _KHOP_RELATIONS = (RelationType.REFERS_TO, RelationType.CONTAINS, RelationType.D
     st.integers(0, 4),
     st.integers(1, 12),
 )
-def test_khop_edge_ids_match_a_full_edge_scan(graph_spec, allowed, k, budget):
+def test_khop_hops_match_a_plain_bfs(graph_spec, allowed, k, budget):
     n, edges, anchor_indices = graph_spec
     g = TypedGraph()
     for i in range(n):
         g.add_node(_para(f"n{i}"))
     counts: dict[tuple, int] = {}
+    neighbors: dict[str, set[str]] = {f"n{i}": set() for i in range(n)}
     for u, v, rel in edges:
         key = (u, v, rel)
         counts[key] = counts.get(key, 0) + 1
         src, dst = f"n{u}", f"n{v}"
         g.add_edge(Edge(edge_id(src, rel, dst, counts[key] - 1), src, dst, rel))
-    sub = khop_expand(g, {f"n{i}" for i in anchor_indices}, k, allowed, budget=budget)
-    members = set(sub.nodes)
-    reference = sorted(
-        eid
-        for eid, edge in g.edges.items()
-        if edge.rel in allowed and edge.src in members and edge.dst in members
-    )
-    assert sub.edge_ids == reference
+        if rel in allowed:
+            neighbors[src].add(dst)
+            neighbors[dst].add(src)
+    anchors = {f"n{i}" for i in anchor_indices}
+    reference = {a: 0 for a in anchors}
+    level = sorted(anchors)
+    for hop in range(1, k + 1):
+        level = sorted({o for nid in level for o in neighbors[nid]} - reference.keys())
+        reference.update((nid, hop) for nid in level)
+    sub = khop_expand(g, anchors, k, allowed, budget=budget)
+    assert sub.nodes == sorted(sub.hops, key=lambda nid: (sub.hops[nid], nid))
+    if len(reference) <= budget:
+        assert sub.hops == reference
+        return
+    # the budget cut the ball: anchors always stay, and every member keeps
+    # its BFS distance, reached through a member one hop nearer
+    assert anchors <= set(sub.nodes)
+    assert len(sub.nodes) <= max(budget, len(anchors))
+    for nid, hop in sub.hops.items():
+        assert hop == reference[nid] <= k
+        if hop > 0:
+            assert any(sub.hops.get(o) == hop - 1 for o in neighbors[nid])
+    deepest = max(sub.hops.values())
+    assert {nid for nid, hop in reference.items() if hop < deepest} <= set(sub.nodes)
 
 
 # ---------------------------------------------------------------------------

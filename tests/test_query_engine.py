@@ -16,7 +16,13 @@ import semrag.query_engine as query_engine
 from semrag.errors import EmptyIndex, NoMacroNodes, NotFound, SchemaError
 from semrag.graph_core import Node, NodeType, TypedGraph
 from semrag.layout_compiler import Gazetteer, header_index, lookup_cell
-from semrag.pipeline import PipelineConfig, build_bundle, compile_corpus, make_engine
+from semrag.pipeline import (
+    PipelineConfig,
+    build_bundle,
+    compile_corpus,
+    load_bundle,
+    make_engine,
+)
 from semrag.query_engine import (
     ACRONYM_PATTERN,
     INDEXED_TYPES,
@@ -27,7 +33,7 @@ from semrag.query_engine import (
     retrieval_text,
 )
 from semrag.synth import synthetic_corpus
-from semrag.vector_align import EMBED_DIM
+from semrag.vector_align import EMBED_DIM, embed_text
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["plain", "aligned"])
@@ -96,6 +102,20 @@ def test_vectors_of_another_width_fail_closed(built, extra):
         QueryEngine(bundle.graph, (ids, other))
 
 
+def test_reopened_rows_equal_the_per_node_embedding(tmp_path):
+    """The engine's rows, scaled from a reopened bundle's hash counts all
+    at once, hold the bits embed_text gives each node's text."""
+    corpus = synthetic_corpus(n_docs=60, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    bundle = load_bundle(tmp_path)
+    engine = make_engine(bundle)
+    ids = bundle.vectors[0]
+    assert engine._matrix.shape == (len(ids), EMBED_DIM)
+    for row, nid in enumerate(ids):
+        want = embed_text(retrieval_text(bundle.graph, nid))
+        assert engine._matrix[row].tobytes() == want.tobytes(), nid
+
+
 def test_search_ranks_by_score_then_node_id(built):
     corpus, _, engine = built
     query = engine.embed_query(corpus.gold[0].question)
@@ -157,8 +177,9 @@ def indexed_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(indexed_graphs(), st.lists(st.sampled_from(WORDS), max_size=3))
 def test_ranking_equals_a_full_sort_at_every_k(g, words):
-    ids, matrix = index_vectors(g)
-    engine = QueryEngine(g, (ids, matrix))
+    ids, counts = index_vectors(g)
+    engine = QueryEngine(g, (ids, counts))
+    matrix = np.array([embed_text(retrieval_text(g, nid)) for nid in ids])
     query = engine.embed_query(" ".join(words))
     for types in RANKED_TYPE_SETS:
         for k in range(-1, len(ids) + 2):

@@ -315,15 +315,6 @@ def test_dendrogram_replay_reaches_final_partition(seed):
     assert replayed == final
 
 
-def test_levels_end_at_final_partition_and_cover_nodes():
-    g, _ = two_k5_bridge()
-    result = sem_minimize(g)
-    assert result.levels, "at least one coarsening level is recorded"
-    assert result.levels[-1] == result.partition
-    for level in result.levels:
-        assert set(level) == set(g.nodes)
-
-
 def test_partition_keys_are_smallest_member_ids():
     g, _ = two_triangle_bridge()
     result = sem_minimize(g)

@@ -297,7 +297,7 @@ def test_mean_pair_jsd_drops_after_training():
 
 
 def _matrix(rng, n=6, d=10):
-    return rng.normal(size=(n, d)).astype(np.float64)
+    return rng.integers(-3, 4, size=(n, d))
 
 
 def test_vectors_round_trip(tmp_path):
@@ -351,6 +351,22 @@ def test_vectors_reject_id_count_mismatch(tmp_path):
     meta_path = tmp_path / "vectors.json"
     meta = json.loads(meta_path.read_text("utf-8"))
     meta["ids"] = ["a"]
+    meta_path.write_text(json.dumps(meta), "utf-8")
+    with pytest.raises(SchemaError):
+        load_vectors(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf"), 2.0**31])
+def test_vectors_refuse_counts_that_are_not_int32(tmp_path, bad):
+    with pytest.raises(SchemaError):
+        save_vectors(tmp_path, ["a", "b"], np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_vectors_reject_entries_outside_the_matrix(tmp_path):
+    save_vectors(tmp_path, ["a", "b"], np.array([[0, 2], [-1, 0]]))
+    meta_path = tmp_path / "vectors.json"
+    meta = json.loads(meta_path.read_text("utf-8"))
+    meta["count"], meta["ids"] = 1, ["a"]
     meta_path.write_text(json.dumps(meta), "utf-8")
     with pytest.raises(SchemaError):
         load_vectors(tmp_path)
