@@ -8,193 +8,20 @@ deterministic offline fallbacks, so every result is reproducible without
 network access.
 """
 
-from .doc_model import (
-    CellSpec,
-    CorpusReport,
-    EquationBlock,
-    ParagraphBlock,
-    Provenance,
-    SectionBlock,
-    SourceDocument,
-    TableBlock,
-    canonical_json_bytes,
-    expand_grid,
-    load_document,
-    serialize,
-    validate_corpus,
-)
+from .doc_model import load_document
 from .errors import SemragError
-from .formula_compiler import (
-    FormulaSubgraph,
-    compile_formula,
-    eval_math,
-    link_symbol_definitions,
-    normalize_math,
-    parse_math,
-    print_math,
-)
-from .graph_core import (
-    Edge,
-    GraphFragment,
-    Node,
-    NodeType,
-    RelationType,
-    Subgraph,
-    TypedGraph,
-    khop_expand,
-    load_graph,
-    merge_units,
-    save_graph,
-)
-from .layout_compiler import (
-    CellHit,
-    TableSubgraph,
-    TextPrimitiveSet,
-    compile_table,
-    compile_text,
-    lookup_cell,
-    resolve_header_paths,
-)
-from .llm_clients import (
-    Clients,
-    HttpLlmClient,
-    OfflineLlmClient,
-    TokenLedger,
-    count_tokens,
-    make_clients,
-    offline_summarize,
-)
-from .pipeline import (
-    Bundle,
-    PipelineConfig,
-    build_bundle,
-    compile_corpus,
-    load_bundle,
-    make_engine,
-    train_alignment,
-)
-from .query_engine import (
-    AnswerResult,
-    EvidenceRecord,
-    QueryEngine,
-    RetrievalConfig,
-    Route,
-    build_prompt,
-    evidence_record,
-    index_vectors,
-    rule_route,
-)
-from .sem_index import (
-    Merge,
-    MinimizeResult,
-    delta_h2_merge,
-    h1,
-    h2,
-    materialize_macronodes,
-    replay_dendrogram,
-    sem_minimize,
-    shannon,
-)
-from .synth import planted_graph, synthetic_corpus
-from .vector_align import (
-    AlignConfig,
-    AlignResult,
-    align_views,
-    embed_text,
-    align_loss_and_grad,
-    jsd,
-    load_alignment,
-    load_vectors,
-    save_alignment,
-    save_vectors,
-    topo_feature,
-)
+from .pipeline import PipelineConfig, build_bundle, load_bundle, make_engine
+from .query_engine import QueryEngine, Route
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignConfig",
-    "AlignResult",
-    "AnswerResult",
-    "Bundle",
-    "CellHit",
-    "CellSpec",
-    "Clients",
-    "CorpusReport",
-    "Edge",
-    "EquationBlock",
-    "EvidenceRecord",
-    "FormulaSubgraph",
-    "GraphFragment",
-    "HttpLlmClient",
-    "Merge",
-    "MinimizeResult",
-    "Node",
-    "NodeType",
-    "OfflineLlmClient",
-    "ParagraphBlock",
     "PipelineConfig",
-    "Provenance",
     "QueryEngine",
-    "RelationType",
-    "RetrievalConfig",
     "Route",
-    "SectionBlock",
     "SemragError",
-    "SourceDocument",
-    "Subgraph",
-    "TableBlock",
-    "TableSubgraph",
-    "TextPrimitiveSet",
-    "TokenLedger",
-    "TypedGraph",
-    "align_loss_and_grad",
-    "align_views",
     "build_bundle",
-    "build_prompt",
-    "canonical_json_bytes",
-    "compile_corpus",
-    "compile_formula",
-    "compile_table",
-    "compile_text",
-    "count_tokens",
-    "delta_h2_merge",
-    "embed_text",
-    "eval_math",
-    "evidence_record",
-    "expand_grid",
-    "h1",
-    "h2",
-    "index_vectors",
-    "jsd",
-    "khop_expand",
-    "link_symbol_definitions",
-    "load_alignment",
     "load_bundle",
     "load_document",
-    "load_graph",
-    "load_vectors",
-    "lookup_cell",
-    "make_clients",
     "make_engine",
-    "materialize_macronodes",
-    "merge_units",
-    "normalize_math",
-    "offline_summarize",
-    "parse_math",
-    "planted_graph",
-    "print_math",
-    "replay_dendrogram",
-    "resolve_header_paths",
-    "rule_route",
-    "save_alignment",
-    "save_graph",
-    "save_vectors",
-    "sem_minimize",
-    "serialize",
-    "shannon",
-    "synthetic_corpus",
-    "topo_feature",
-    "train_alignment",
-    "validate_corpus",
 ]

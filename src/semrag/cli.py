@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -137,8 +135,8 @@ def cmd_index(
 ):
     """Compile a corpus directory into an indexed bundle directory.
 
-    Holds a lock file in the output directory while writing; a failed run
-    removes the partial output rather than leaving an unloadable bundle.
+    The bundle lands whole or not at all: it replaces an existing bundle
+    or an empty directory, and a failed run leaves --out as it was.
     """
     docs, gazetteer = _read_corpus(Path(corpus_dir))
     if not docs:
@@ -157,28 +155,7 @@ def cmd_index(
         align=align,
         seed=seed,
     )
-    out = Path(out_dir)
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
-    try:
-        fd = os.open(str(lock), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        _fail(
-            f"output directory {out} is locked by another indexing run",
-            EXIT_USER_ERROR,
-        )
-    with os.fdopen(fd, "w") as handle:
-        handle.write(str(os.getpid()))
-    try:
-        bundle = build_bundle(docs, gazetteer, out, config=config)
-    except BaseException:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        else:
-            lock.unlink(missing_ok=True)
-        raise
-    lock.unlink(missing_ok=True)
+    bundle = build_bundle(docs, gazetteer, out_dir, config=config)
     click.echo(
         f"bundle written to {bundle.path}: "
         f"{len(bundle.graph.nodes)} nodes, {len(bundle.graph.edges)} edges, "
@@ -324,11 +301,14 @@ def cmd_stats(bundle_dir, as_json):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_guard
 def cmd_export_graph(bundle_dir, out_dir):
-    """Dump a bundle's graph as nodes and edges JSONL with a manifest."""
+    """Dump a bundle's graph as nodes.jsonl and edges.jsonl, the bytes the
+    bundle holds."""
     bundle = _load(bundle_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_graph(bundle.graph, out)
+    nodes_blob, edges_blob = save_graph(bundle.graph)
+    (out / "nodes.jsonl").write_bytes(nodes_blob)
+    (out / "edges.jsonl").write_bytes(edges_blob)
     click.echo(
         f"graph exported to {out}: "
         f"{len(bundle.graph.nodes)} nodes, {len(bundle.graph.edges)} edges"

@@ -8,32 +8,24 @@ form for degrees, volumes, and K-hop traversal.
 
 Node ids are namespaced by document ("{doc}:{block}" and suffixes); unified
 terms live under the corpus-wide "term:{key}" namespace; macro nodes under
-"macro:{community}". Persistence is two JSONL streams plus a checksummed
-manifest, see save_graph/load_graph.
+"macro:{community}". Persistence is two JSONL byte streams, nodes and
+edges, see save_graph/load_graph; where they are stored and how they are
+checked is the bundle's business (pipeline).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Optional
 
 from .doc_model import canonical_json_bytes
-from .errors import (
-    ChecksumError,
-    EmptyAnchors,
-    FormatVersionError,
-    IdCollisionError,
-)
+from .errors import EmptyAnchors, IdCollisionError
 
 logger = logging.getLogger(__name__)
-
-FORMAT_VERSION = 1
 
 
 class NodeType(Enum):
@@ -344,40 +336,20 @@ def _edge_line(edge: Edge) -> bytes:
     )
 
 
-def save_graph(g: TypedGraph, path: str | Path) -> None:
-    """Write nodes.jsonl, edges.jsonl, and a checksummed manifest."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+def save_graph(g: TypedGraph) -> tuple[bytes, bytes]:
+    """The graph as two JSONL blobs, nodes then edges, each line canonical
+    JSON and each stream sorted by id, so equal graphs give equal bytes."""
     nodes_blob = b"\n".join(_node_line(g.nodes[nid]) for nid in sorted(g.nodes))
     if g.nodes:
         nodes_blob += b"\n"
     edges_blob = b"\n".join(_edge_line(g.edges[eid]) for eid in sorted(g.edges))
     if g.edges:
         edges_blob += b"\n"
-    (out / "nodes.jsonl").write_bytes(nodes_blob)
-    (out / "edges.jsonl").write_bytes(edges_blob)
-    checksum = hashlib.sha256(nodes_blob + edges_blob).hexdigest()
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "checksum": checksum,
-        "node_count": len(g.nodes),
-        "edge_count": len(g.edges),
-    }
-    (out / "graph_manifest.json").write_bytes(canonical_json_bytes(manifest) + b"\n")
+    return nodes_blob, edges_blob
 
 
-def load_graph(path: str | Path) -> TypedGraph:
-    src = Path(path)
-    manifest = json.loads((src / "graph_manifest.json").read_text("utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"unknown graph format version {manifest.get('format_version')!r}"
-        )
-    nodes_blob = (src / "nodes.jsonl").read_bytes()
-    edges_blob = (src / "edges.jsonl").read_bytes()
-    checksum = hashlib.sha256(nodes_blob + edges_blob).hexdigest()
-    if checksum != manifest.get("checksum"):
-        raise ChecksumError("graph content does not match manifest checksum")
+def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
+    """The graph save_graph encoded as these two blobs."""
     graph = TypedGraph()
     for line in nodes_blob.splitlines():
         if not line.strip():

@@ -1,13 +1,17 @@
 """End-to-end orchestration: documents in, queryable bundle out.
 
 compile_corpus runs every compiler over every document and merges the
-fragments; build_bundle adds the entropy index, community summaries, and a
-checksummed on-disk bundle whose manifest is byte-identical across offline
-runs (no timestamps, sorted keys). load_bundle verifies the checksums
-and fails closed on a missing member or one the build does not write,
-and make_engine wires the loaded graph and vectors to the retrieval
-engine. An aligned build also trains and saves the view aligner
-(align.json); retrieval does not read it.
+fragments; build_bundle adds the entropy index and community summaries
+and writes the bundle. This module alone holds the bundle's on-disk
+contract: which members a config writes, the format version, and the
+manifest.json that records a sha256 for every member, byte-identical
+across offline runs (no timestamps, sorted keys). A build is written to a
+fresh directory beside the target and renamed onto it whole. load_bundle
+reads each member once, checks it against the manifest, and decodes those
+same bytes, failing closed on a missing member, one the build does not
+write, or one that does not match. make_engine wires the loaded graph and
+vectors to the retrieval engine. An aligned build also trains and saves
+the view aligner (align.json); retrieval does not read it.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shutil
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .doc_model import (
     EquationBlock,
@@ -149,24 +156,64 @@ def _index_to_json(result: MinimizeResult) -> dict:
     }
 
 
-def _index_from_json(obj: dict) -> MinimizeResult:
+def _field(obj: dict, key: str, types: tuple) -> object:
+    value = obj.get(key)
+    if type(value) not in types:
+        kinds = " or ".join(t.__name__ for t in types)
+        raise SchemaError(f"/{key}", f"index.json {key} is missing or not {kinds}")
+    return value
+
+
+def _merge(step) -> Merge:
+    if not (
+        type(step) is list
+        and len(step) == 4
+        and all(type(v) is int for v in step[:3])
+        and type(step[3]) in (int, float)
+    ):
+        raise SchemaError(
+            "/dendrogram", "index.json holds a merge that is not [a, b, merged, delta]"
+        )
+    return Merge(*step)
+
+
+def _index_from_json(obj) -> MinimizeResult:
+    """The index index.json records; a key that is missing or of the wrong
+    type raises SchemaError."""
+    if not isinstance(obj, dict):
+        raise SchemaError("", "index.json is not a JSON object")
+    partition = _field(obj, "partition", (dict,))
+    if not all(isinstance(v, str) for v in partition.values()):
+        raise SchemaError("/partition", "index.json maps a node to no community key")
     communities: dict[str, list[str]] = {}
-    for nid, key in obj["partition"].items():
+    for nid, key in partition.items():
         communities.setdefault(key, []).append(nid)
     for key in communities:
         communities[key].sort()
     return MinimizeResult(
-        partition=dict(obj["partition"]),
+        partition=partition,
         communities=communities,
-        dendrogram=[Merge(a, b, m, d) for a, b, m, d in obj["dendrogram"]],
-        h1=obj["h1"],
-        h2=obj["h2"],
-        epsilon=obj["epsilon"],
+        dendrogram=[_merge(step) for step in _field(obj, "dendrogram", (list,))],
+        h1=_field(obj, "h1", (int, float)),
+        h2=_field(obj, "h2", (int, float)),
+        epsilon=_field(obj, "epsilon", (int, float)),
     )
+
+
+def _json(blob: bytes):
+    return json.loads(blob.decode("utf-8"))
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass
 class Bundle:
+    """A built or loaded bundle. ``vectors`` is what QueryEngine takes:
+    index_vectors' int32 counts after a build, load_vectors' float64 unit
+    rows after a load, which the engine then shares rather than copies."""
+
     path: Path
     graph: TypedGraph
     index: MinimizeResult
@@ -174,6 +221,38 @@ class Bundle:
     vectors: tuple
     clients: Optional[Clients] = None
     alignment: Optional[AlignResult] = None
+
+
+@contextmanager
+def _landing(out: Path) -> Iterator[Path]:
+    """A fresh directory beside ``out`` to write a bundle into, renamed
+    onto ``out`` when the block ends without error and removed either way.
+
+    ``out`` may be absent, an empty directory or a bundle; anything else
+    is refused with an OSError before a file is written.
+    """
+    if out.exists() and not (
+        out.is_dir() and ((out / "manifest.json").is_file() or not any(out.iterdir()))
+    ):
+        raise FileExistsError(
+            f"{out} holds files but no bundle manifest; not replacing it"
+        )
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        new, old = stage / "new", stage / "old"
+        new.mkdir()  # under the umask, as a plain mkdir of out would be
+        yield new
+        if out.exists():
+            out.rename(old)
+        try:
+            new.rename(out)
+        except BaseException:
+            if old.exists():
+                old.rename(out)
+            raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def build_bundle(
@@ -185,53 +264,54 @@ def build_bundle(
 ) -> Bundle:
     """Compile, index, summarize, and persist one corpus.
 
-    The bundle directory holds the graph (nodes and edges plus their own
-    manifest), the community index with its dendrogram, the vector index
-    sidecar, the optional alignment model, and a manifest
-    with configuration, counts, and content checksums. Wall-clock data
-    goes to a separate ledger file outside the checksummed set, so two
-    offline runs over the same input produce byte-identical manifests.
+    The bundle directory holds the graph (nodes and edges), the community
+    index with its dendrogram, the gazetteer, the vector index, the
+    optional alignment model, and a manifest with configuration, counts,
+    and a checksum of each of them. Wall-clock data goes to a separate
+    ledger file outside the checksummed set, so two offline runs over the
+    same input produce byte-identical bundles.
+
+    ``out_dir`` gets the whole bundle or keeps what it held: the files are
+    written into a fresh directory beside it, which is then renamed onto
+    it. It may be absent, empty, or a bundle; any other directory is
+    refused with an OSError.
     """
     cfg = config or PipelineConfig()
     clients = clients or make_clients(offline=cfg.offline)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    graph = compile_corpus(docs, gazetteer)
-    index = sem_minimize(graph)
-    materialize_macronodes(
-        graph,
-        index,
-        lambda text, budget: _summary_tuple(clients, text, budget),
-        budget_tokens=cfg.summary_budget_tokens,
-    )
-    save_graph(graph, out)
-    index_bytes = canonical_json_bytes(_index_to_json(index)) + b"\n"
-    (out / "index.json").write_bytes(index_bytes)
-    gaz_bytes = canonical_json_bytes(sorted(set(gazetteer))) + b"\n"
-    (out / "gazetteer.json").write_bytes(gaz_bytes)
-    alignment = None
-    if cfg.align:
-        alignment = train_alignment(graph, seed=cfg.seed)
-        save_alignment(out / "align.json", alignment)
-    ids, counts = index_vectors(graph)
-    save_vectors(out, ids, counts)
-    checksums = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in _members(cfg)
-    }
-    manifest = {
-        "format_version": BUNDLE_FORMAT_VERSION,
-        "config": cfg.to_json(),
-        "counts": {
-            "documents": len(docs),
-            "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
-            "communities": len(index.communities),
-        },
-        "checksums": checksums,
-    }
-    (out / "manifest.json").write_bytes(canonical_json_bytes(manifest) + b"\n")
-    clients.ledger.to_csv(out / "token_ledger.csv")
+    with _landing(out) as new:
+        graph = compile_corpus(docs, gazetteer)
+        index = sem_minimize(graph)
+        materialize_macronodes(
+            graph,
+            index,
+            lambda text, budget: _summary_tuple(clients, text, budget),
+            budget_tokens=cfg.summary_budget_tokens,
+        )
+        members = dict(zip(("nodes.jsonl", "edges.jsonl"), save_graph(graph)))
+        members["index.json"] = canonical_json_bytes(_index_to_json(index)) + b"\n"
+        members["gazetteer.json"] = canonical_json_bytes(sorted(set(gazetteer))) + b"\n"
+        alignment = None
+        if cfg.align:
+            alignment = train_alignment(graph, seed=cfg.seed)
+            members["align.json"] = save_alignment(alignment)
+        ids, counts = index_vectors(graph)
+        members["vectors.json"], members["vectors.bin"] = save_vectors(ids, counts)
+        for name, blob in members.items():
+            (new / name).write_bytes(blob)
+        manifest = {
+            "format_version": BUNDLE_FORMAT_VERSION,
+            "config": cfg.to_json(),
+            "counts": {
+                "documents": len(docs),
+                "nodes": len(graph.nodes),
+                "edges": len(graph.edges),
+                "communities": len(index.communities),
+            },
+            "checksums": {name: _sha256(members[name]) for name in _members(cfg)},
+        }
+        (new / "manifest.json").write_bytes(canonical_json_bytes(manifest) + b"\n")
+        clients.ledger.to_csv(new / "token_ledger.csv")
     return Bundle(
         path=out,
         graph=graph,
@@ -249,8 +329,10 @@ def _summary_tuple(clients: Clients, text: str, budget: int) -> tuple[str, int]:
 
 
 def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
+    """Open a bundle: each member is read once, checked against its
+    manifest checksum, and decoded from the bytes that were checked."""
     src = Path(path)
-    manifest = json.loads((src / "manifest.json").read_text("utf-8"))
+    manifest = _json((src / "manifest.json").read_bytes())
     if not isinstance(manifest, dict):
         raise SchemaError("", "bundle manifest is not a JSON object")
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
@@ -275,20 +357,22 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
             "/checksums",
             f"bundle manifest lists members its config does not write: {unknown}",
         )
+    blobs = {}
     for name, expected in members.items():
-        actual = hashlib.sha256((src / name).read_bytes()).hexdigest()
-        if actual != expected:
+        blobs[name] = (src / name).read_bytes()
+        if _sha256(blobs[name]) != expected:
             raise ChecksumError(f"bundle member {name} does not match its checksum")
-    graph = load_graph(src)
-    index = _index_from_json(json.loads((src / "index.json").read_text("utf-8")))
-    alignment = load_alignment(src / "align.json") if cfg.align else None
+    graph = load_graph(blobs["nodes.jsonl"], blobs["edges.jsonl"])
+    index = _index_from_json(_json(blobs["index.json"]))
+    vectors = load_vectors(blobs["vectors.json"], blobs["vectors.bin"])
+    alignment = load_alignment(blobs["align.json"]) if cfg.align else None
     return Bundle(
         path=src,
         graph=graph,
         index=index,
         config=cfg,
         clients=clients or make_clients(offline=cfg.offline),
-        vectors=load_vectors(src),
+        vectors=vectors,
         alignment=alignment,
     )
 

@@ -43,7 +43,7 @@ from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
 from .layout_compiler import CellHit, Gazetteer, header_index, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
-from .vector_align import EMBED_DIM, embed_text, hash_counts
+from .vector_align import EMBED_DIM, embed_text, hash_counts, unit_rows
 
 
 class Route(Enum):
@@ -372,11 +372,13 @@ class QueryEngine:
     """Vector index plus retrieval over one compiled graph, each question
     routed by the rule table (rule_route) over its features.
 
-    ``vectors`` is the persisted index, ``(node ids, counts)`` as
-    index_vectors computes it; its ids must be exactly the graph's
-    indexable nodes in id order, and its rows EMBED_DIM wide. Dividing
-    the rows by their norms here, all at once, gives the bits embed_text
-    gives each text, since the norms of integer counts are exact.
+    ``vectors`` is the index, ``(node ids, rows)``: integer hash counts
+    as index_vectors computes them, which are scaled to unit rows here
+    (unit_rows), or float64 unit rows as load_vectors decodes them, which
+    the engine searches as they are, without a copy. Either way each row
+    holds the bits embed_text gives its node's text. The ids must be
+    exactly the graph's indexable nodes in id order, and the rows
+    EMBED_DIM wide.
     Construction compiles and word-indexes the gazetteer's term surfaces
     and indexes the table headers once, so no question or lookup rescans
     the graph.
@@ -390,7 +392,7 @@ class QueryEngine:
     ):
         self.g = g
         self.config = config or RetrievalConfig()
-        ids, matrix = list(vectors[0]), np.array(vectors[1], dtype=np.float64)
+        ids, matrix = list(vectors[0]), np.asarray(vectors[1])
         indexed = set(INDEXED_TYPES)
         expected = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
         if ids != expected:
@@ -407,9 +409,7 @@ class QueryEngine:
         self._ids = ids
         self._row_of = {nid: row for row, nid in enumerate(ids)}
         self._types = [g.nodes[nid].type for nid in ids]
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, None]
-        np.divide(matrix, norms, out=matrix, where=norms > 0)
-        self._matrix = matrix
+        self._matrix = matrix if matrix.dtype == np.float64 else unit_rows(matrix)
         # index rows of each type set ranked so far, ascending (so in id order)
         self._rows: dict[Optional[frozenset[NodeType]], np.ndarray] = {}
         self._term_of: dict[str, str] = {}

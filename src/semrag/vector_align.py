@@ -18,14 +18,12 @@ import json
 import logging
 import math
 import re
-from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    ChecksumError,
     DimensionMismatch,
     DivergenceError,
     FormatVersionError,
@@ -267,25 +265,34 @@ def align_views(
     return result
 
 
-VECTORS_FORMAT_VERSION = 2
 ALIGN_FORMAT_VERSION = 1
 
 # one non-zero count: its row, its bucket and the count itself
 _COO = np.dtype([("row", "<i4"), ("bucket", "<u2"), ("count", "<i4")])
 
 
-def save_vectors(dir_path, ids: Sequence[str], counts: np.ndarray) -> None:
-    """Write the hash counts index_vectors computes as vectors.bin plus a
-    vectors.json manifest.
+def unit_rows(counts: np.ndarray) -> np.ndarray:
+    """Rows of hash counts scaled to unit length in float64, zero rows
+    left zero; a float64 matrix is scaled in place.
 
-    The binary file holds the non-zero counts in row-major order, each a
-    little-endian int32 row, uint16 bucket and int32 count: exact, and a
-    small part of the float rows they scale to. The manifest records the
-    dimension, the row order (node ids), and a sha256 checksum of the
-    binary payload so a torn write fails closed.
+    Row i holds the bits embed_text gives the text counted in row i, since
+    the norm of integer counts is exact.
     """
-    out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
+    rows = np.asarray(counts, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    np.divide(rows, norms, out=rows, where=norms > 0)
+    return rows
+
+
+def save_vectors(ids: Sequence[str], counts: np.ndarray) -> tuple[bytes, bytes]:
+    """The hash counts index_vectors computes, encoded as the vectors.json
+    and vectors.bin blobs.
+
+    The JSON holds the row order, ``{"ids": [...]}``. The binary holds the
+    non-zero counts in row-major order, each a little-endian int32 row,
+    uint16 bucket and int32 count: exact, and a small part of the float
+    rows they scale to.
+    """
     mat = np.asarray(counts)
     if mat.ndim != 2 or mat.shape[0] != len(ids):
         raise DimensionMismatch(
@@ -300,67 +307,49 @@ def save_vectors(dir_path, ids: Sequence[str], counts: np.ndarray) -> None:
         raise SchemaError("/counts", "vector counts must be int32 integers")
     entries = np.empty(len(values), dtype=_COO)
     entries["row"], entries["bucket"], entries["count"] = rows, buckets, values
-    payload = entries.tobytes()
-    (out / "vectors.bin").write_bytes(payload)
-    manifest = {
-        "format_version": VECTORS_FORMAT_VERSION,
-        "count": int(mat.shape[0]),
-        "dim": int(mat.shape[1]),
-        "ids": list(ids),
-        "checksum": hashlib.sha256(payload).hexdigest(),
-    }
-    (out / "vectors.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    meta = json.dumps({"ids": list(ids)}, indent=2, sort_keys=True) + "\n"
+    return meta.encode("utf-8"), entries.tobytes()
 
 
-def load_vectors(dir_path) -> tuple[list[str], np.ndarray]:
-    """Load the hash counts written by save_vectors, verifying the checksum."""
-    src = Path(dir_path)
-    manifest = json.loads((src / "vectors.json").read_text(encoding="utf-8"))
-    if manifest.get("format_version") != VECTORS_FORMAT_VERSION:
-        raise FormatVersionError(
-            f"unsupported vector index version {manifest.get('format_version')!r}"
-        )
-    payload = (src / "vectors.bin").read_bytes()
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest.get("checksum"):
-        raise ChecksumError("vectors.bin does not match its recorded checksum")
-    count, dim = int(manifest["count"]), int(manifest["dim"])
-    ids = list(manifest["ids"])
-    if len(ids) != count:
-        raise SchemaError(
-            "/ids", f"vector manifest lists {len(ids)} ids for count {count}"
-        )
+def load_vectors(meta_blob: bytes, payload: bytes) -> tuple[list[str], np.ndarray]:
+    """The node ids and unit rows, ``len(ids)`` by EMBED_DIM, of the blobs
+    save_vectors wrote; the counts go straight into the float64 rows, so
+    no integer copy outlives the call."""
+    meta = json.loads(meta_blob.decode("utf-8"))
+    if not isinstance(meta, dict) or set(meta) != {"ids"}:
+        raise SchemaError("", 'vectors.json must hold exactly the key "ids"')
+    ids = meta["ids"]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise SchemaError("/ids", "vectors.json ids must be a list of strings")
     if len(payload) % _COO.itemsize:
         raise SchemaError(
             "/count", f"vectors.bin holds {len(payload)} bytes, not whole entries"
         )
     entries = np.frombuffer(payload, dtype=_COO)
     rows, buckets = entries["row"], entries["bucket"]
-    if len(entries) and not (0 <= rows.min() and rows.max() < count and buckets.max() < dim):
+    if len(entries) and not (
+        0 <= rows.min() and rows.max() < len(ids) and buckets.max() < EMBED_DIM
+    ):
         raise SchemaError("/count", "vectors.bin holds an entry outside the matrix")
-    counts = np.zeros((count, dim), dtype=np.int32)
-    counts[rows, buckets] = entries["count"]
-    return ids, counts
+    matrix = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
+    matrix[rows, buckets] = entries["count"]
+    return ids, unit_rows(matrix)
 
 
-def save_alignment(path, result: AlignResult) -> None:
-    """Persist trained projections as JSON (row-major nested lists)."""
+def save_alignment(result: AlignResult) -> bytes:
+    """Trained projections as JSON (row-major nested lists)."""
     doc = {
         "format_version": ALIGN_FORMAT_VERSION,
         "w_text": result.w_text.tolist(),
         "w_topo": result.w_topo.tolist(),
         "loss_history": [float(v) for v in result.loss_history],
     }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
-def load_alignment(path) -> AlignResult:
-    """Load projections written by save_alignment."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def load_alignment(blob: bytes) -> AlignResult:
+    """The projections save_alignment encoded."""
+    doc = json.loads(blob.decode("utf-8"))
     if doc.get("format_version") != ALIGN_FORMAT_VERSION:
         raise FormatVersionError(
             f"unsupported alignment model version {doc.get('format_version')!r}"

@@ -7,8 +7,11 @@ can disagree with the implementation under test.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +266,18 @@ def offline_summarizer():
         return summary.text, summary.tokens_used
 
     return summarize
+
+
+# --- bundle members ---------------------------------------------------------
+
+def rewrite_member(bundle_dir: Path, name: str, blob: bytes) -> None:
+    """Replace one bundle member and record its checksum in the manifest,
+    so that only the member's own decoder can refuse it."""
+    (bundle_dir / name).write_bytes(blob)
+    path = bundle_dir / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    manifest["checksums"][name] = hashlib.sha256(blob).hexdigest()
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --- session fixtures -------------------------------------------------------

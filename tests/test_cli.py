@@ -7,7 +7,6 @@ builds an online client.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -26,7 +25,9 @@ from semrag.llm_clients import (
     OfflineLlmClient,
     make_clients,
 )
-from semrag.pipeline import PipelineConfig, build_bundle
+from conftest import rewrite_member
+from semrag.pipeline import PipelineConfig, build_bundle, load_bundle
+from semrag.query_engine import index_vectors
 from semrag.synth import synthetic_corpus
 from semrag.vector_align import load_vectors, save_vectors
 
@@ -159,13 +160,11 @@ def test_bundle_with_topology_columns_is_user_error(tmp_path, env):
     runner = CliRunner()
     built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
     assert built.exit_code == 0, built.output
-    ids, matrix = load_vectors(out)
-    save_vectors(out, ids, np.hstack([matrix, np.zeros((len(ids), 23))]))
-    manifest_path = out / "manifest.json"
-    manifest = json.loads(manifest_path.read_text("utf-8"))
-    for name in ("vectors.json", "vectors.bin"):
-        manifest["checksums"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    ids, counts = index_vectors(load_bundle(out).graph)
+    topology = np.ones((len(ids), 23), dtype=np.int32)
+    meta, payload = save_vectors(ids, np.hstack([counts, topology]))
+    rewrite_member(out, "vectors.json", meta)
+    rewrite_member(out, "vectors.bin", payload)
     result = runner.invoke(cli, ["query", str(out), QUESTION])
     assert result.exit_code == EXIT_USER_ERROR, result.output
 
@@ -177,28 +176,86 @@ def test_bundle_with_float_vectors_is_user_error(tmp_path, env):
     runner = CliRunner()
     built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
     assert built.exit_code == 0, built.output
-    ids, counts = load_vectors(out)
-    rows = counts.astype("<f8")
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    payload = np.divide(rows, norms, out=rows, where=norms > 0).tobytes()
-    (out / "vectors.bin").write_bytes(payload)
+    ids, rows = load_vectors(
+        (out / "vectors.json").read_bytes(), (out / "vectors.bin").read_bytes()
+    )
     meta = {
         "format_version": 1,
         "dtype": "<f8",
         "count": len(ids),
         "dim": rows.shape[1],
         "ids": ids,
-        "checksum": hashlib.sha256(payload).hexdigest(),
     }
-    (out / "vectors.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    manifest_path = out / "manifest.json"
-    manifest = json.loads(manifest_path.read_text("utf-8"))
-    for name in ("vectors.json", "vectors.bin"):
-        manifest["checksums"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    rewrite_member(out, "vectors.bin", rows.tobytes())
+    rewrite_member(out, "vectors.json", json.dumps(meta, indent=2).encode())
     result = runner.invoke(cli, ["query", str(out), QUESTION])
     assert result.exit_code == EXIT_USER_ERROR, result.output
-    assert "error: unsupported vector index version 1" in result.output
+    assert 'vectors.json must hold exactly the key "ids"' in result.output
+
+
+def test_vectors_json_without_ids_is_user_error(tmp_path, env):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    rewrite_member(out, "vectors.json", b"{}\n")
+    result = runner.invoke(cli, ["query", str(out), QUESTION])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: " in result.output
+
+
+def _mistype_first_merge(index: dict) -> None:
+    index["dendrogram"][0][0] = "10"
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda index: index.pop("h1"), "/h1"),
+        (lambda index: index.pop("partition"), "/partition"),
+        (lambda index: index.pop("dendrogram"), "/dendrogram"),
+        (_mistype_first_merge, "/dendrogram"),
+    ],
+    ids=["no-h1", "no-partition", "no-dendrogram", "mistyped-merge"],
+)
+def test_index_json_that_does_not_match_is_user_error(tmp_path, env, edit, path):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    index = json.loads((out / "index.json").read_text("utf-8"))
+    edit(index)
+    rewrite_member(out, "index.json", json.dumps(index).encode())
+    result = runner.invoke(cli, ["stats", str(out)])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert f"error: {path}: index.json" in result.output
+
+
+def test_index_over_a_directory_that_holds_no_bundle_is_user_error(tmp_path, env):
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "todo.txt").write_text("keep me")
+    result = CliRunner().invoke(
+        cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)]
+    )
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert "error: " in result.output
+    assert [p.name for p in out.iterdir()] == ["todo.txt"]
+    assert (out / "todo.txt").read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "notes"]
+
+
+def test_export_graph_writes_the_bundles_graph_bytes(tmp_path, env):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    export = tmp_path / "export"
+    result = runner.invoke(cli, ["export-graph", str(out), "--out", str(export)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in export.iterdir()) == ["edges.jsonl", "nodes.jsonl"]
+    for name in ("nodes.jsonl", "edges.jsonl"):
+        assert (export / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_stats_reports_what_indexing_paid(tmp_path, env):
@@ -269,14 +326,20 @@ def test_manifest_config_value_of_the_wrong_type_is_user_error(tmp_path, env):
 
 @pytest.mark.parametrize(
     "member, command",
-    [("manifest.json", "stats"), ("graph_manifest.json", "query")],
+    [("manifest.json", "stats"), ("vectors.json", "query")],
 )
 def test_bundle_member_that_is_not_utf8_is_user_error(tmp_path, env, member, command):
+    """A member other than the manifest gets its checksum fixed up, so
+    that its own decoder meets the bytes."""
     out = tmp_path / "bundle"
     runner = CliRunner()
     built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
     assert built.exit_code == 0, built.output
-    (out / member).write_bytes(b"\xff\xfe" + (out / member).read_bytes())
+    blob = b"\xff\xfe" + (out / member).read_bytes()
+    if member == "manifest.json":
+        (out / member).write_bytes(blob)
+    else:
+        rewrite_member(out, member, blob)
     args = [command, str(out)] + ([QUESTION] if command == "query" else [])
     result = runner.invoke(cli, args)
     assert result.exit_code == EXIT_USER_ERROR, result.output

@@ -1,13 +1,11 @@
 """Typed multigraph: identity rules, merging, traversal, and persistence."""
 
-import json
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph
-from semrag.errors import ChecksumError, EmptyAnchors, FormatVersionError, IdCollisionError
+from semrag.errors import ChecksumError, EmptyAnchors, IdCollisionError
 from semrag.graph_core import (
     Edge,
     GraphFragment,
@@ -25,6 +23,8 @@ from semrag.graph_core import (
     save_graph,
     volume,
 )
+from semrag.pipeline import build_bundle, load_bundle
+from semrag.synth import synthetic_corpus
 
 
 def _para(nid: str, text: str = "t") -> Node:
@@ -290,40 +290,26 @@ def test_khop_hops_match_a_plain_bfs(graph_spec, allowed, k, budget):
 # persistence
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip():
     g, _, _ = random_graph(4, n_max=15, allow_loops=True)
     g.nodes["n0"].attrs["prov"] = {"doc_id": "D1", "page": 2}
-    save_graph(g, tmp_path / "g")
-    back = load_graph(tmp_path / "g")
+    back = load_graph(*save_graph(g))
     assert graphs_equal(g, back)
 
 
-def test_save_is_byte_stable(tmp_path):
+def test_save_is_byte_stable():
     g, _, _ = random_graph(5, n_max=12, allow_loops=False)
-    save_graph(g, tmp_path / "a")
-    save_graph(g, tmp_path / "b")
-    for name in ("nodes.jsonl", "edges.jsonl", "graph_manifest.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert save_graph(g) == save_graph(g)
 
 
 def test_load_rejects_tampered_content(tmp_path):
-    g = make_graph(2, [(0, 1)])
-    save_graph(g, tmp_path / "g")
-    target = tmp_path / "g" / "nodes.jsonl"
-    target.write_bytes(target.read_bytes().replace(b"n0", b"m0"))
+    """Graph content is checked by the bundle manifest that covers it."""
+    corpus = synthetic_corpus(n_docs=2, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    target = tmp_path / "nodes.jsonl"
+    target.write_bytes(target.read_bytes().replace(b"SD00:", b"SD09:", 1))
     with pytest.raises(ChecksumError):
-        load_graph(tmp_path / "g")
-
-
-def test_load_rejects_unknown_format_version(tmp_path):
-    g = make_graph(2, [(0, 1)])
-    save_graph(g, tmp_path / "g")
-    manifest_path = tmp_path / "g" / "graph_manifest.json"
-    doc = json.loads(manifest_path.read_text("utf-8"))
-    doc["format_version"] = 999
-    manifest_path.write_text(json.dumps(doc), "utf-8")
-    with pytest.raises(FormatVersionError):
-        load_graph(tmp_path / "g")
+        load_bundle(tmp_path)
 
 
 def test_graphs_equal_detects_attr_difference():

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import semrag.pipeline as pipeline
 from semrag.errors import ChecksumError, FormatVersionError, SchemaError
 from semrag.pipeline import (
     PipelineConfig,
@@ -75,14 +76,104 @@ def test_manifest_is_byte_identical_across_builds(tmp_path, align):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_flipped_byte_in_vectors_bin_fails_closed(tmp_path):
-    build(tmp_path)
-    path = tmp_path / "vectors.bin"
+ALIGNED_MEMBERS = [
+    "nodes.jsonl",
+    "edges.jsonl",
+    "index.json",
+    "gazetteer.json",
+    "vectors.json",
+    "vectors.bin",
+    "align.json",
+]
+
+
+@pytest.mark.parametrize("member", ALIGNED_MEMBERS)
+def test_flipped_byte_in_a_member_fails_closed(tmp_path, member):
+    build(tmp_path, align=True)
+    members = json.loads((tmp_path / "manifest.json").read_bytes())["checksums"]
+    assert sorted(members) == sorted(ALIGNED_MEMBERS)
+    path = tmp_path / member
     payload = bytearray(path.read_bytes())
     payload[len(payload) // 2] ^= 0x01
     path.write_bytes(bytes(payload))
-    with pytest.raises(ChecksumError):
+    with pytest.raises(ChecksumError, match=member):
         load_bundle(tmp_path)
+
+
+def test_load_reads_each_member_once(tmp_path, monkeypatch):
+    """Each member is read once and decoded from the bytes that were
+    checked; none is read again by path."""
+    build(tmp_path, align=True)
+    reads: Counter = Counter()
+    for method in ("read_bytes", "read_text"):
+        original = getattr(Path, method)
+
+        def counting(self, *args, _original=original, **kwargs):
+            reads[self.name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counting)
+    load_bundle(tmp_path)
+    assert reads == Counter({name: 1 for name in ALIGNED_MEMBERS + ["manifest.json"]})
+
+
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError("disk full")
+
+
+def test_a_failed_build_leaves_an_absent_bundle_absent(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "save_vectors", _disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        build(tmp_path / "bundle")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_build_leaves_the_old_bundle_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "bundle"
+    corpus = build(out)
+    before = _snapshot(out)
+    monkeypatch.setattr(pipeline, "save_vectors", _disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        build_bundle(
+            corpus.docs, corpus.gazetteer, out, config=PipelineConfig(align=True)
+        )
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+    assert _snapshot(out) == before
+    assert len(load_bundle(out).graph.nodes) > 0
+
+
+def test_a_failed_swap_puts_the_old_bundle_back(tmp_path, monkeypatch):
+    """The old bundle is moved aside before the new one is renamed onto
+    its place; if that rename fails, the old one returns."""
+    out = tmp_path / "bundle"
+    build(out)
+    before = _snapshot(out)
+    rename = Path.rename
+
+    def failing(self, target):
+        if self.name == "new":
+            raise OSError("rename refused")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", failing)
+    with pytest.raises(OSError, match="rename refused"):
+        build(out, align=True)
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+    assert _snapshot(out) == before
+
+
+def test_a_rebuild_replaces_the_bundle_whole(tmp_path):
+    out = tmp_path / "bundle"
+    build(out, align=True)
+    assert (out / "align.json").exists()
+    build(out)
+    assert not (out / "align.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+    assert load_bundle(out).config.align is False
 
 
 def _edit_manifest(bundle_dir: Path, edit) -> None:

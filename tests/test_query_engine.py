@@ -116,6 +116,19 @@ def test_reopened_rows_equal_the_per_node_embedding(tmp_path):
         assert engine._matrix[row].tobytes() == want.tobytes(), nid
 
 
+def test_an_open_engine_shares_the_loaded_rows(tmp_path):
+    """A loaded bundle decodes its counts straight into the float rows the
+    engine searches; the engine takes them without a copy, so an open
+    engine holds one N x EMBED_DIM matrix."""
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    bundle = load_bundle(tmp_path)
+    ids, rows = bundle.vectors
+    assert rows.dtype == np.float64 and rows.shape == (len(ids), EMBED_DIM)
+    assert make_engine(bundle)._matrix is rows
+    assert make_engine(bundle)._matrix is rows
+
+
 def test_search_ranks_by_score_then_node_id(built):
     corpus, _, engine = built
     query = engine.embed_query(corpus.gold[0].question)

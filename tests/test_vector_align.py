@@ -3,22 +3,25 @@
 import json
 import math
 import random
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import make_graph, rewrite_member
 from semrag.errors import (
     ChecksumError,
     DimensionMismatch,
-    FormatVersionError,
     NotADistribution,
     SchemaError,
 )
 from semrag.graph_core import Node, NodeType, TypedGraph
+from semrag.pipeline import build_bundle, load_bundle
+from semrag.synth import synthetic_corpus
 from semrag.vector_align import (
+    EMBED_DIM,
     AlignConfig,
     AlignResult,
     TOPO_DIM,
@@ -300,84 +303,89 @@ def _matrix(rng, n=6, d=10):
     return rng.integers(-3, 4, size=(n, d))
 
 
-def test_vectors_round_trip(tmp_path):
+def test_vectors_round_trip():
+    """Counts come back as the unit rows they scale to, bit for bit."""
     rng = np.random.default_rng(11)
     ids = [f"node{i}" for i in range(6)]
-    matrix = _matrix(rng)
-    save_vectors(tmp_path, ids, matrix)
-    back_ids, back = load_vectors(tmp_path)
+    matrix = _matrix(rng, d=EMBED_DIM)
+    matrix[2] = 0
+    back_ids, back = load_vectors(*save_vectors(ids, matrix))
     assert back_ids == ids
-    assert np.array_equal(back, matrix)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    want = np.divide(matrix, norms, out=np.zeros(matrix.shape), where=norms > 0)
+    assert back.tobytes() == want.tobytes()
 
 
-def test_vectors_bytes_are_stable(tmp_path):
+def test_vectors_bytes_are_stable():
     rng = np.random.default_rng(12)
     ids = ["a", "b"]
     matrix = _matrix(rng, n=2, d=4)
-    save_vectors(tmp_path / "x", ids, matrix)
-    save_vectors(tmp_path / "y", ids, matrix)
-    assert (tmp_path / "x" / "vectors.bin").read_bytes() == (
-        tmp_path / "y" / "vectors.bin"
-    ).read_bytes()
-    assert (tmp_path / "x" / "vectors.json").read_bytes() == (
-        tmp_path / "y" / "vectors.json"
-    ).read_bytes()
+    meta, payload = save_vectors(ids, matrix)
+    assert (meta, payload) == save_vectors(ids, matrix)
+    assert json.loads(meta) == {"ids": ids}
 
 
-def test_vectors_detect_payload_tampering(tmp_path):
-    rng = np.random.default_rng(13)
-    save_vectors(tmp_path, ["a", "b"], _matrix(rng, n=2, d=4))
-    blob = bytearray((tmp_path / "vectors.bin").read_bytes())
+@pytest.fixture(scope="module")
+def bundle_dir(tmp_path_factory):
+    corpus = synthetic_corpus(n_docs=2, seed=0)
+    out = tmp_path_factory.mktemp("bundle")
+    build_bundle(corpus.docs, corpus.gazetteer, out)
+    return out
+
+
+@pytest.fixture
+def bundle_copy(bundle_dir, tmp_path):
+    out = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, out)
+    return out
+
+
+def test_vectors_detect_payload_tampering(bundle_copy):
+    blob = bytearray((bundle_copy / "vectors.bin").read_bytes())
     blob[3] ^= 0xFF
-    (tmp_path / "vectors.bin").write_bytes(bytes(blob))
+    (bundle_copy / "vectors.bin").write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
-        load_vectors(tmp_path)
+        load_bundle(bundle_copy)
 
 
-def test_vectors_reject_unknown_format_version(tmp_path):
-    rng = np.random.default_rng(14)
-    save_vectors(tmp_path, ["a"], _matrix(rng, n=1, d=4))
-    meta_path = tmp_path / "vectors.json"
-    meta = json.loads(meta_path.read_text("utf-8"))
+def test_vectors_reject_unknown_format_version(bundle_copy):
+    """vectors.json holds its ids alone; one that carries a format version,
+    as every earlier format did, is refused."""
+    meta = json.loads((bundle_copy / "vectors.json").read_text("utf-8"))
     meta["format_version"] = 99
-    meta_path.write_text(json.dumps(meta), "utf-8")
-    with pytest.raises(FormatVersionError):
-        load_vectors(tmp_path)
-
-
-def test_vectors_reject_id_count_mismatch(tmp_path):
-    rng = np.random.default_rng(15)
-    save_vectors(tmp_path, ["a", "b"], _matrix(rng, n=2, d=4))
-    meta_path = tmp_path / "vectors.json"
-    meta = json.loads(meta_path.read_text("utf-8"))
-    meta["ids"] = ["a"]
-    meta_path.write_text(json.dumps(meta), "utf-8")
+    rewrite_member(bundle_copy, "vectors.json", json.dumps(meta).encode())
     with pytest.raises(SchemaError):
-        load_vectors(tmp_path)
+        load_bundle(bundle_copy)
+
+
+def test_vectors_reject_id_count_mismatch(bundle_copy):
+    meta = json.loads((bundle_copy / "vectors.json").read_text("utf-8"))
+    meta["ids"] = meta["ids"][:1]
+    rewrite_member(bundle_copy, "vectors.json", json.dumps(meta).encode())
+    with pytest.raises(SchemaError):
+        load_bundle(bundle_copy)
 
 
 @pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf"), 2.0**31])
-def test_vectors_refuse_counts_that_are_not_int32(tmp_path, bad):
+def test_vectors_refuse_counts_that_are_not_int32(bad):
     with pytest.raises(SchemaError):
-        save_vectors(tmp_path, ["a", "b"], np.array([[1.0, 0.0], [0.0, bad]]))
+        save_vectors(["a", "b"], np.array([[1.0, 0.0], [0.0, bad]]))
 
 
-def test_vectors_reject_entries_outside_the_matrix(tmp_path):
-    save_vectors(tmp_path, ["a", "b"], np.array([[0, 2], [-1, 0]]))
-    meta_path = tmp_path / "vectors.json"
-    meta = json.loads(meta_path.read_text("utf-8"))
-    meta["count"], meta["ids"] = 1, ["a"]
-    meta_path.write_text(json.dumps(meta), "utf-8")
+def test_vectors_reject_entries_outside_the_matrix():
+    _, payload = save_vectors(["a", "b"], np.array([[0, 2], [-1, 0]]))
     with pytest.raises(SchemaError):
-        load_vectors(tmp_path)
+        load_vectors(b'{"ids": ["a"]}', payload)
+    _, wide = save_vectors(["a"], np.eye(1, EMBED_DIM + 1, EMBED_DIM, dtype=int))
+    with pytest.raises(SchemaError):
+        load_vectors(b'{"ids": ["a"]}', wide)
 
 
-def test_alignment_round_trip(tmp_path):
+def test_alignment_round_trip():
     rng = np.random.default_rng(16)
     texts, topos = _random_views(rng, 5)
     result = align_views(texts, topos, AlignConfig(projection_dim=4, epochs=10))
-    save_alignment(tmp_path / "align.json", result)
-    back = load_alignment(tmp_path / "align.json")
+    back = load_alignment(save_alignment(result))
     assert np.array_equal(back.w_text, result.w_text)
     assert np.array_equal(back.w_topo, result.w_topo)
     assert back.loss_history == pytest.approx(result.loss_history)
