@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .doc_model import canonical_json_bytes
-from .errors import EmptyAnchors, IdCollisionError
+from .errors import EmptyAnchors, IdCollisionError, SchemaError
 
 logger = logging.getLogger(__name__)
 
@@ -348,23 +348,59 @@ def save_graph(g: TypedGraph) -> tuple[bytes, bytes]:
     return nodes_blob, edges_blob
 
 
+_NODE_KEYS = {"id": str, "type": str, "text": str, "attrs": dict}
+_EDGE_KEYS = {"id": str, "src": str, "dst": str, "rel": str, "attrs": dict}
+
+
+def _records(blob: bytes, member: str, keys: dict[str, type]):
+    """Each non-blank line of a JSONL member, numbered from 1, as an object
+    holding keys of the given types; anything else raises SchemaError."""
+    names, kinds = tuple(keys), tuple(keys.values())
+    # decoded once: canonical JSON escapes every newline inside a string
+    for number, line in enumerate(blob.decode("utf-8").split("\n"), 1):
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        if type(obj) is not dict:
+            raise SchemaError(f"/{number}", f"{member} line {number} is not a JSON object")
+        if tuple(map(type, map(obj.get, names))) != kinds:
+            key = next(k for k in names if type(obj.get(k)) is not keys[k])
+            raise SchemaError(
+                f"/{number}/{key}",
+                f"{member} line {number} {key} is missing or not {keys[key].__name__}",
+            )
+        yield number, obj
+
+
+_NODE_TYPES = {kind.value: kind for kind in NodeType}
+_RELATION_TYPES = {rel.value: rel for rel in RelationType}
+
+
 def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
-    """The graph save_graph encoded as these two blobs."""
+    """The graph save_graph encoded as these two blobs. A line that is not
+    such a record, an edge to no node, or an id given two payloads raises
+    SchemaError."""
     graph = TypedGraph()
-    for line in nodes_blob.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        graph.add_node(
-            Node(obj["id"], NodeType(obj["type"]), obj["text"], obj["attrs"])
-        )
-    for line in edges_blob.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        graph.add_edge(
-            Edge(obj["id"], obj["src"], obj["dst"], RelationType(obj["rel"]), obj["attrs"])
-        )
+    for number, obj in _records(nodes_blob, "nodes.jsonl", _NODE_KEYS):
+        kind = _NODE_TYPES.get(obj["type"])
+        if kind is None:
+            raise SchemaError(
+                f"/{number}/type", f"nodes.jsonl holds an unknown type {obj['type']!r}"
+            )
+        try:
+            graph.add_node(Node(obj["id"], kind, obj["text"], obj["attrs"]))
+        except IdCollisionError as exc:
+            raise SchemaError(f"/{number}", f"nodes.jsonl line {number}: {exc}") from None
+    for number, obj in _records(edges_blob, "edges.jsonl", _EDGE_KEYS):
+        rel = _RELATION_TYPES.get(obj["rel"])
+        if rel is None:
+            raise SchemaError(
+                f"/{number}/rel", f"edges.jsonl holds an unknown rel {obj['rel']!r}"
+            )
+        try:
+            graph.add_edge(Edge(obj["id"], obj["src"], obj["dst"], rel, obj["attrs"]))
+        except (ValueError, IdCollisionError) as exc:  # no such endpoint, or a reused id
+            raise SchemaError(f"/{number}", f"edges.jsonl line {number}: {exc}") from None
     return graph
 
 

@@ -9,6 +9,14 @@ merges are the dendrogram, and its endpoint, which may split a refined
 community, is the result. materialize_macronodes attaches one summary
 node per final community, the index's one level above the nodes.
 
+Nothing is applied just to price it. A merge is priced from the two
+communities' volumes, cuts and edge multiplicity, which the merge loop
+keeps in a table it folds on each merge. A move is priced from the node's
+edge counts into its neighbouring communities and their statistics, in the
+same operations as applying it would take, so every delta and every tie
+is what the apply-and-difference computation gives. Refinement prices
+again only what a committed move or dissolution touched.
+
 Degrees are taken on the undirected projection where a self-loop adds two;
 self-loops never cross a community boundary, so they shape the intra terms
 but never the cut terms.
@@ -149,12 +157,18 @@ def h2(g: TypedGraph, partition: dict[str, object]) -> float:
 
 @dataclass
 class PartitionState:
-    """Sufficient statistics for O(1) merge and move deltas.
+    """Per-community sufficient statistics for exact merge and move deltas.
 
     Per community: volume, boundary edge count, and the degree-weighted log
     sum that closes the intra term. The identity used throughout:
     contribution(C) = (Vc*log2(Vc) - S_C - g_C*(log2(Vc) - log2(V))) / V
     and h2 is the sum of contributions.
+
+    A merge delta is O(1) given the two communities' edge multiplicity;
+    cross() finds it by scanning the smaller community, and the merge loop
+    keeps its own table instead. A move delta reads the node's edge counts
+    into its neighbouring communities, one pass over its neighbours, and
+    those communities' statistics; nothing is moved to price a move.
     """
 
     volume: float
@@ -208,15 +222,17 @@ class PartitionState:
         order = sorted(g.nodes)
         return cls.from_partition(g, {nid: i for i, nid in enumerate(order)})
 
-    def contribution(self, comm: int) -> float:
-        vol = self.comm_vol[comm]
+    def _contribution(self, vol: int, s: float, cut: int) -> float:
         if vol <= 0:
             return 0.0
         return (
             vol * math.log2(vol)
-            - self.comm_s[comm]
-            - self.comm_cut[comm] * (math.log2(vol) - math.log2(self.volume))
+            - s
+            - cut * (math.log2(vol) - math.log2(self.volume))
         ) / self.volume
+
+    def contribution(self, comm: int) -> float:
+        return self._contribution(self.comm_vol[comm], self.comm_s[comm], self.comm_cut[comm])
 
     def h2(self) -> float:
         return sum(self.contribution(c) for c in self.members)
@@ -253,8 +269,9 @@ class PartitionState:
             delta -= (vb / v) * math.log2(vb / vm)
         return delta
 
-    def merge(self, a: int, b: int) -> int:
-        cross = self.cross(a, b)
+    def merge(self, a: int, b: int, cross: Optional[int] = None) -> int:
+        if cross is None:
+            cross = self.cross(a, b)
         merged = self.next_id
         self.next_id += 1
         self.members[merged] = self.members.pop(a) | self.members.pop(b)
@@ -265,32 +282,56 @@ class PartitionState:
         self.comm_cut[merged] = self.comm_cut.pop(a) + self.comm_cut.pop(b) - 2 * cross
         return merged
 
-    def edges_into(self, nid: str, comm: int) -> int:
-        """Multiplicity of non-loop edges from the node into the community."""
-        count = 0
+    def edge_counts(self, nid: str) -> dict[int, int]:
+        """Multiplicity of the node's non-loop edges into each community."""
+        node_comm = self.node_comm
+        counts: dict[int, int] = {}
         for other, mult in self.adj[nid].items():
-            if self.node_comm[other] == comm:
-                count += mult
-        return count
+            comm = node_comm[other]
+            counts[comm] = counts.get(comm, 0) + mult
+        return counts
+
+    def move_deltas(
+        self, nid: str, counts: dict[int, int], targets: Iterable[int]
+    ) -> list[float]:
+        """Exact change in h2 from moving the node into each target.
+
+        counts is edge_counts(nid). Each delta evaluates the contribution
+        formula on the source's and the target's statistics before and
+        after the move, the same values in the same order as applying the
+        move would give, so it is bit-identical to that difference.
+        """
+        source = self.node_comm[nid]
+        d = self.deg[nid]
+        d_out = d - 2 * self.loops[nid]
+        s_term = d * math.log2(d) if d > 0 else 0.0
+        contribution = self._contribution
+        vol, s, cut = self.comm_vol[source], self.comm_s[source], self.comm_cut[source]
+        source_before = contribution(vol, s, cut)
+        source_after = contribution(vol - d, s - s_term, cut + 2 * counts.get(source, 0) - d_out)
+        deltas = []
+        for target in targets:
+            vol, s, cut = self.comm_vol[target], self.comm_s[target], self.comm_cut[target]
+            before = source_before + contribution(vol, s, cut)
+            after = source_after + contribution(
+                vol + d, s + s_term, cut - (2 * counts.get(target, 0) - d_out)
+            )
+            deltas.append(after - before)
+        return deltas
 
     def move_delta(self, nid: str, target: int) -> float:
-        source = self.node_comm[nid]
-        if source == target:
+        if self.node_comm[nid] == target:
             return 0.0
-        before = self.contribution(source) + self.contribution(target)
-        self._apply_move(nid, source, target)
-        after = self.contribution(source) + self.contribution(target)
-        self._apply_move(nid, target, source)
-        return after - before
+        return self.move_deltas(nid, self.edge_counts(nid), (target,))[0]
 
-    def _apply_move(self, nid: str, source: int, target: int) -> None:
+    def move(self, nid: str, target: int, counts: dict[int, int]) -> None:
+        """Move the node into another live community; counts is edge_counts(nid)."""
+        source = self.node_comm[nid]
         # adj holds no self entries, so these counts exclude self-loops and
         # (for the source side) the node's own former membership
         d = self.deg[nid]
         d_out = d - 2 * self.loops[nid]
         s_term = d * math.log2(d) if d > 0 else 0.0
-        e_src = self.edges_into(nid, source)
-        e_dst = self.edges_into(nid, target)
         self.members[source].discard(nid)
         self.members[target].add(nid)
         self.node_comm[nid] = target
@@ -298,19 +339,8 @@ class PartitionState:
         self.comm_vol[target] += d
         self.comm_s[source] -= s_term
         self.comm_s[target] += s_term
-        self.comm_cut[source] += 2 * e_src - d_out
-        self.comm_cut[target] -= 2 * e_dst - d_out
-
-    def move(self, nid: str, target: int) -> None:
-        source = self.node_comm[nid]
-        if source == target:
-            return
-        if target not in self.members:  # revived by a rollback
-            self.members[target] = set()
-            self.comm_vol[target] = 0
-            self.comm_cut[target] = 0
-            self.comm_s[target] = 0.0
-        self._apply_move(nid, source, target)
+        self.comm_cut[source] += 2 * counts.get(source, 0) - d_out
+        self.comm_cut[target] -= 2 * counts.get(target, 0) - d_out
         if not self.members[source]:
             del self.members[source]
             del self.comm_vol[source]
@@ -368,14 +398,43 @@ class MinimizeResult:
     epsilon: float
 
 
-def _comm_neighbors(state: PartitionState, comm: int) -> set[int]:
-    out: set[int] = set()
-    for nid in state.members[comm]:
-        for other in state.adj[nid]:
+def _community_adjacency(
+    state: PartitionState, group_of: Optional[dict[str, str]] = None
+) -> dict[int, dict[int, int]]:
+    """For each community, its edge multiplicity with each adjacent one.
+
+    With group_of (node id to group key, constant on each community), only
+    pairs of communities in one group are listed.
+    """
+    rows: dict[int, dict[int, int]] = {comm: {} for comm in state.members}
+    for nid, neighbours in state.adj.items():
+        comm = state.node_comm[nid]
+        row = rows[comm]
+        for other, mult in neighbours.items():
             c = state.node_comm[other]
-            if c != comm:
-                out.add(c)
-    return out
+            if c != comm and (group_of is None or group_of[other] == group_of[nid]):
+                row[c] = row.get(c, 0) + mult
+    return rows
+
+
+def _fold_rows(rows: dict[int, dict[int, int]], a: int, b: int, merged: int) -> None:
+    """Replace the rows of a and b by one row for merged, folding the
+    smaller row into the larger, and rename a and b to merged in each
+    neighbour's row."""
+    big, small = rows.pop(a), rows.pop(b)
+    if len(big) < len(small):
+        big, small = small, big
+    big.pop(a, None)
+    big.pop(b, None)
+    for comm, mult in small.items():
+        if comm != a and comm != b:
+            big[comm] = big.get(comm, 0) + mult
+    for comm, mult in big.items():
+        row = rows[comm]
+        row.pop(a, None)
+        row.pop(b, None)
+        row[merged] = mult
+    rows[merged] = big
 
 
 def _greedy_merge(
@@ -385,20 +444,18 @@ def _greedy_merge(
 ) -> list[Merge]:
     """Largest-decrease-first pairwise merging with a lazily invalidated heap.
 
-    With group_of (node id to group key), only two communities of one group
-    may merge. Returns the merges made, each of which lowered h2 by more
-    than epsilon.
+    With group_of (node id to group key, constant on each community of the
+    starting state), only two communities of one group may merge. Returns
+    the merges made, each of which lowered h2 by more than epsilon. The
+    table of mergeable adjacent pairs is built once and folded on each
+    merge, so a pair's cross count is a lookup.
     """
-
-    def group(comm: int):
-        return None if group_of is None else group_of[next(iter(state.members[comm]))]
-
+    rows = _community_adjacency(state, group_of)
     heap: list[tuple[float, int, int]] = []
     for comm in sorted(state.members):
-        target = group(comm)
-        for other in _comm_neighbors(state, comm):
-            if comm < other and group(other) == target:
-                heap.append((state.merge_delta(comm, other), comm, other))
+        for other, cross in rows[comm].items():
+            if comm < other:
+                heap.append((state.merge_delta(comm, other, cross), comm, other))
     heapq.heapify(heap)
     merges: list[Merge] = []
     while heap:
@@ -407,58 +464,129 @@ def _greedy_merge(
             continue  # stale: a side was already merged away
         if delta >= -epsilon:
             break
-        merged = state.merge(a, b)
+        merged = state.merge(a, b, rows[a][b])
         merges.append(Merge(a, b, merged, delta))
-        target = group(merged)
-        for other in sorted(_comm_neighbors(state, merged)):
-            if group(other) == target:
-                pair = (min(merged, other), max(merged, other))
-                heapq.heappush(heap, (state.merge_delta(*pair), *pair))
+        _fold_rows(rows, a, b, merged)
+        # every key is a distinct (delta, a, b) pair, so push order is moot
+        for other, cross in rows[merged].items():
+            lo, hi = min(merged, other), max(merged, other)
+            heapq.heappush(heap, (state.merge_delta(lo, hi, cross), lo, hi))
     return merges
 
 
+def _best_move(
+    state: PartitionState, nid: str, counts: dict[int, int]
+) -> tuple[Optional[int], Optional[float]]:
+    """Lowest-delta move into a neighbouring community, the smallest id on a
+    tie; (None, None) when every neighbour shares the node's community."""
+    source = state.node_comm[nid]
+    targets = sorted(c for c in counts if c != source)
+    if not targets:
+        return None, None
+    best_delta, best_target = None, None
+    for target, delta in zip(targets, state.move_deltas(nid, counts, targets)):
+        if best_delta is None or delta < best_delta:
+            best_delta, best_target = delta, target
+    return best_target, best_delta
+
+
+def _dissolve(state: PartitionState, comm: int, epsilon: float) -> list[int]:
+    """Move each member of comm, in id order, to its best neighbouring
+    community. Keep the moves if their summed delta lowers h2 by more than
+    epsilon and return the communities they touched; otherwise put the
+    members back, give every touched community its statistics back
+    exactly, and return []."""
+    saved = {comm: (state.comm_vol[comm], state.comm_cut[comm], state.comm_s[comm])}
+    moved: list[str] = []
+    total = 0.0
+    for nid in sorted(state.members[comm]):
+        counts = state.edge_counts(nid)
+        best_target, best_delta = _best_move(state, nid, counts)
+        if best_target is None:
+            break
+        if best_target not in saved:
+            saved[best_target] = (
+                state.comm_vol[best_target],
+                state.comm_cut[best_target],
+                state.comm_s[best_target],
+            )
+        moved.append(nid)
+        total += best_delta
+        state.move(nid, best_target, counts)
+    else:
+        if total < -epsilon:
+            return list(saved)
+    members = state.members.setdefault(comm, set())
+    for nid in moved:
+        state.members[state.node_comm[nid]].discard(nid)
+        members.add(nid)
+        state.node_comm[nid] = comm
+    for c, (vol, cut, s) in saved.items():
+        state.comm_vol[c], state.comm_cut[c], state.comm_s[c] = vol, cut, s
+    return []
+
+
 def _refine(state: PartitionState, epsilon: float) -> None:
-    """Single-node moves plus community dissolution until a full quiet pass."""
+    """Single-node moves plus community dissolution until a quiet pass.
+
+    A pass offers each node, in id order, its best move, and then tries to
+    dissolve each community, in order of smallest member, by moving every
+    member to its best neighbouring community; the dissolution is kept if
+    its summed delta lowers h2 by more than epsilon and rolled back exactly
+    otherwise.
+
+    Work whose inputs did not change is skipped. Each committed change (a
+    single move, or a kept dissolution) stamps the communities it touched
+    with a new clock value. A node is priced only if its community, or a
+    community it has an edge into, was stamped since it was last priced; a
+    dissolution is tried only if the community, or one adjacent to a
+    member, was stamped since its last failed trial. A price reads the
+    node's edge counts and the statistics of its own and its neighbours'
+    communities, and any change to those stamps a community the node
+    touches now, so a skipped item would price to the same deltas and make
+    the same choice: no move, or a failed trial. Skipping is exact.
+    """
+    node_comm, adj = state.node_comm, state.adj
+    order = sorted(node_comm)
+    stamp = dict.fromkeys(state.members, 0)  # community -> clock of its last change
+    priced = dict.fromkeys(order, -1)  # node -> clock when last priced
+    tried: dict[int, int] = {}  # community -> clock of its last failed dissolution
+    clock = 0
+
     improved = True
     while improved:
         improved = False
-        for nid in sorted(state.node_comm):
-            source = state.node_comm[nid]
-            best_delta, best_target = 0.0, None
-            for target in sorted({state.node_comm[o] for o in state.adj[nid]} - {source}):
-                delta = state.move_delta(nid, target)
-                if delta < best_delta:
-                    best_delta, best_target = delta, target
+        for nid in order:
+            seen = priced[nid]
+            if stamp[node_comm[nid]] <= seen and all(
+                stamp[node_comm[o]] <= seen for o in adj[nid]
+            ):
+                continue
+            priced[nid] = clock
+            counts = state.edge_counts(nid)
+            best_target, best_delta = _best_move(state, nid, counts)
             if best_target is not None and best_delta < -epsilon:
-                state.move(nid, best_target)
+                source = node_comm[nid]
+                state.move(nid, best_target, counts)
+                clock += 1
+                stamp[source] = stamp[best_target] = clock
                 improved = True
         for comm in sorted(state.members, key=lambda c: min(state.members[c])):
             if comm not in state.members or len(state.members[comm]) <= 1:
                 continue
-            plan: list[tuple[str, int, int]] = []  # node, source, target
-            total = 0.0
-            feasible = True
-            for nid in sorted(state.members[comm].copy()):
-                targets = sorted(
-                    {state.node_comm[o] for o in state.adj[nid]}
-                    - {state.node_comm[nid]}
-                )
-                if not targets:
-                    feasible = False
-                    break
-                best_delta, best_target = None, None
-                for target in targets:
-                    delta = state.move_delta(nid, target)
-                    if best_delta is None or delta < best_delta:
-                        best_delta, best_target = delta, target
-                plan.append((nid, state.node_comm[nid], best_target))
-                total += best_delta
-                state.move(nid, best_target)
-            if feasible and total < -epsilon:
+            seen = tried.get(comm, -1)
+            if stamp[comm] <= seen and all(
+                stamp[node_comm[o]] <= seen for nid in state.members[comm] for o in adj[nid]
+            ):
+                continue
+            touched = _dissolve(state, comm, epsilon)
+            if touched:
+                clock += 1
+                for c in touched:
+                    stamp[c] = clock
                 improved = True
             else:
-                for nid, source, _ in reversed(plan):
-                    state.move(nid, source)
+                tried[comm] = clock
 
 
 def sem_minimize(g: TypedGraph) -> MinimizeResult:

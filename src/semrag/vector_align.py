@@ -347,15 +347,32 @@ def save_alignment(result: AlignResult) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _matrix(doc: dict, key: str) -> np.ndarray:
+    value = doc.get(key)
+    try:
+        matrix = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged rows
+        matrix = None
+    if matrix is None or matrix.ndim != 2 or matrix.dtype.kind not in "iuf":
+        raise SchemaError(f"/{key}", f"align.json {key} is missing or not a numeric matrix")
+    return matrix.astype(np.float64)
+
+
 def load_alignment(blob: bytes) -> AlignResult:
-    """The projections save_alignment encoded."""
+    """The projections save_alignment encoded; a key that is missing or of
+    the wrong type raises SchemaError."""
     doc = json.loads(blob.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise SchemaError("", "align.json is not a JSON object")
     if doc.get("format_version") != ALIGN_FORMAT_VERSION:
         raise FormatVersionError(
             f"unsupported alignment model version {doc.get('format_version')!r}"
         )
+    history = doc.get("loss_history", [])
+    if not isinstance(history, list) or not all(type(v) in (int, float) for v in history):
+        raise SchemaError("/loss_history", "align.json loss_history is not a list of numbers")
     return AlignResult(
-        w_text=np.asarray(doc["w_text"], dtype=np.float64),
-        w_topo=np.asarray(doc["w_topo"], dtype=np.float64),
-        loss_history=[float(v) for v in doc.get("loss_history", [])],
+        w_text=_matrix(doc, "w_text"),
+        w_topo=_matrix(doc, "w_topo"),
+        loss_history=[float(v) for v in history],
     )

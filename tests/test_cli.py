@@ -231,6 +231,82 @@ def test_index_json_that_does_not_match_is_user_error(tmp_path, env, edit, path)
     assert f"error: {path}: index.json" in result.output
 
 
+def _first_line_without(key):
+    def edit(lines: list[dict]) -> None:
+        del lines[0][key]
+
+    return edit
+
+
+def _first_line_with(key, value):
+    def edit(lines: list[dict]) -> None:
+        lines[0][key] = value
+
+    return edit
+
+
+def _first_line_repeated_with(key, value):
+    def edit(lines: list[dict]) -> None:
+        lines.insert(1, {**lines[0], key: value})
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "member, edit, message",
+    [
+        ("nodes.jsonl", _first_line_without("attrs"), "/1/attrs: nodes.jsonl line 1 attrs"),
+        ("nodes.jsonl", _first_line_with("text", 7), "/1/text: nodes.jsonl line 1 text"),
+        ("nodes.jsonl", _first_line_with("type", "Gadget"), "/1/type: nodes.jsonl holds"),
+        ("edges.jsonl", _first_line_without("src"), "/1/src: edges.jsonl line 1 src"),
+        ("edges.jsonl", _first_line_with("rel", "likes"), "/1/rel: edges.jsonl holds"),
+        ("edges.jsonl", _first_line_with("dst", "nowhere"), "/1: edges.jsonl line 1:"),
+        ("nodes.jsonl", _first_line_repeated_with("text", "other"), "/2: nodes.jsonl line 2:"),
+        ("edges.jsonl", _first_line_repeated_with("attrs", {"k": 1}), "/2: edges.jsonl line 2:"),
+    ],
+    ids=[
+        "node-no-attrs", "node-text-int", "node-type", "edge-no-src", "edge-rel", "edge-dst",
+        "node-id-twice", "edge-id-twice",
+    ],
+)
+def test_graph_line_that_does_not_match_is_user_error(tmp_path, env, member, edit, message):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    lines = [json.loads(line) for line in (out / member).read_bytes().splitlines()]
+    edit(lines)
+    rewrite_member(out, member, b"".join(json.dumps(obj).encode() + b"\n" for obj in lines))
+    result = runner.invoke(cli, ["stats", str(out)])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert f"error: {message}" in result.output
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda doc: doc.pop("w_topo"), "/w_topo"),
+        (lambda doc: doc.update(w_text=[[1.0, 2.0], [3.0]]), "/w_text"),
+        (lambda doc: doc.update(w_text="weights"), "/w_text"),
+        (lambda doc: doc.update(loss_history={"epoch": 1}), "/loss_history"),
+    ],
+    ids=["no-w-topo", "ragged-w-text", "string-w-text", "mapped-history"],
+)
+def test_align_json_that_does_not_match_is_user_error(tmp_path, env, edit, path):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(
+        cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out), "--align"]
+    )
+    assert built.exit_code == 0, built.output
+    doc = json.loads((out / "align.json").read_text("utf-8"))
+    edit(doc)
+    rewrite_member(out, "align.json", json.dumps(doc).encode())
+    result = runner.invoke(cli, ["stats", str(out)])
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert f"error: {path}: align.json" in result.output
+
+
 def test_index_over_a_directory_that_holds_no_bundle_is_user_error(tmp_path, env):
     out = tmp_path / "notes"
     out.mkdir()

@@ -9,9 +9,13 @@ and the sha256 of a small bundle's ``index.json``. Regenerate it only for
 an intended change of behaviour, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_sem_index.py
+
+The minimizer's local move pricing, skipping refinement and merge table are
+checked against the scanning references they replaced, which are kept here.
 """
 
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -38,6 +42,9 @@ from semrag.pipeline import build_bundle
 from semrag.sem_index import (
     EPSILON,
     PartitionState,
+    _community_adjacency,
+    _dissolve,
+    _fold_rows,
     _greedy_merge,
     _refine,
     base_projection,
@@ -262,6 +269,236 @@ def test_merging_communities_that_share_no_edge_never_lowers_h2(seed):
         for b in live[i + 1 :]:
             if state.cross(a, b) == 0:
                 assert state.merge_delta(a, b, 0) >= -EPSILON
+
+
+# ---------------------------------------------------------------------------
+# Local move pricing, refinement that skips unchanged work, and the merge
+# loop's community table, each against the scanning code it replaced. The
+# references apply a move to price it and revert it, and put comm_s back
+# exactly afterwards (a bare revert leaves (s - t) + t rounding behind).
+
+
+def _random_state(g, n: int, rng: random.Random) -> PartitionState:
+    k = rng.randint(1, n)
+    return PartitionState.from_partition(g, {f"n{i}": rng.randrange(k) for i in range(n)})
+
+
+def _edges_into(state: PartitionState, nid: str, comm: int) -> int:
+    return sum(m for other, m in state.adj[nid].items() if state.node_comm[other] == comm)
+
+
+def _reference_apply(state: PartitionState, nid: str, source: int, target: int) -> None:
+    d = state.deg[nid]
+    d_out = d - 2 * state.loops[nid]
+    s_term = d * math.log2(d) if d > 0 else 0.0
+    e_src, e_dst = _edges_into(state, nid, source), _edges_into(state, nid, target)
+    state.members[source].discard(nid)
+    state.members[target].add(nid)
+    state.node_comm[nid] = target
+    state.comm_vol[source] -= d
+    state.comm_vol[target] += d
+    state.comm_s[source] -= s_term
+    state.comm_s[target] += s_term
+    state.comm_cut[source] += 2 * e_src - d_out
+    state.comm_cut[target] -= 2 * e_dst - d_out
+
+
+def _reference_move_delta(state: PartitionState, nid: str, target: int) -> float:
+    source = state.node_comm[nid]
+    saved = state.comm_s[source], state.comm_s[target]
+    before = state.contribution(source) + state.contribution(target)
+    _reference_apply(state, nid, source, target)
+    after = state.contribution(source) + state.contribution(target)
+    _reference_apply(state, nid, target, source)
+    state.comm_s[source], state.comm_s[target] = saved
+    return after - before
+
+
+def _reference_move(state: PartitionState, nid: str, target: int) -> None:
+    source = state.node_comm[nid]
+    if target not in state.members:  # revived by a rollback
+        state.members[target] = set()
+        state.comm_vol[target] = state.comm_cut[target] = 0
+        state.comm_s[target] = 0.0
+    _reference_apply(state, nid, source, target)
+    if not state.members[source]:
+        for table in (state.members, state.comm_vol, state.comm_cut, state.comm_s):
+            del table[source]
+
+
+def _reference_refine(state: PartitionState, epsilon: float) -> None:
+    """Every pass prices every node and trial-dissolves every community."""
+    improved = True
+    while improved:
+        improved = False
+        for nid in sorted(state.node_comm):
+            source = state.node_comm[nid]
+            best_delta, best_target = 0.0, None
+            for target in sorted({state.node_comm[o] for o in state.adj[nid]} - {source}):
+                delta = _reference_move_delta(state, nid, target)
+                if delta < best_delta:
+                    best_delta, best_target = delta, target
+            if best_target is not None and best_delta < -epsilon:
+                _reference_move(state, nid, best_target)
+                improved = True
+        for comm in sorted(state.members, key=lambda c: min(state.members[c])):
+            if comm not in state.members or len(state.members[comm]) <= 1:
+                continue
+            saved = dict(state.comm_s)
+            plan: list[str] = []
+            total = 0.0
+            feasible = True
+            for nid in sorted(state.members[comm]):
+                targets = sorted({state.node_comm[o] for o in state.adj[nid]} - {comm})
+                if not targets:
+                    feasible = False
+                    break
+                deltas = [_reference_move_delta(state, nid, t) for t in targets]
+                best = min(range(len(targets)), key=deltas.__getitem__)
+                plan.append(nid)
+                total += deltas[best]
+                _reference_move(state, nid, targets[best])
+            if feasible and total < -epsilon:
+                improved = True
+            else:
+                for nid in reversed(plan):
+                    _reference_move(state, nid, comm)
+                for c in state.comm_s:
+                    state.comm_s[c] = saved[c]
+
+
+def _reference_greedy_merge(state: PartitionState, epsilon: float) -> list:
+    """The merge loop that scans members for neighbours and cross counts."""
+
+    def neighbours(comm: int) -> set[int]:
+        return {
+            state.node_comm[o] for nid in state.members[comm] for o in state.adj[nid]
+        } - {comm}
+
+    heap = [
+        (state.merge_delta(a, b), a, b)
+        for a in sorted(state.members)
+        for b in neighbours(a)
+        if a < b
+    ]
+    heapq.heapify(heap)
+    merges = []
+    while heap:
+        delta, a, b = heapq.heappop(heap)
+        if a not in state.members or b not in state.members:
+            continue
+        if delta >= -epsilon:
+            break
+        merged = state.merge(a, b)
+        merges.append((a, b, merged, delta))
+        for other in sorted(neighbours(merged)):
+            pair = (min(merged, other), max(merged, other))
+            heapq.heappush(heap, (state.merge_delta(*pair), *pair))
+    return merges
+
+
+def _snapshot(state: PartitionState):
+    return (
+        {c: frozenset(ns) for c, ns in state.members.items()},
+        dict(state.node_comm),
+        dict(state.comm_vol),
+        dict(state.comm_cut),
+        {c: s.hex() for c, s in state.comm_s.items()},
+    )
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6))
+def test_move_delta_matches_apply_and_revert_reference(seed):
+    g, _, n = random_graph(seed, n_max=14, allow_loops=(seed % 3 == 0))
+    state = _random_state(g, n, random.Random(seed))
+    partition = dict(state.node_comm)
+    base = h2(g, partition)
+    for nid in sorted(partition):
+        for target in sorted(set(state.members) - {partition[nid]}):
+            delta = state.move_delta(nid, target)
+            assert delta.hex() == _reference_move_delta(state, nid, target).hex()
+            assert abs(delta - (h2(g, {**partition, nid: target}) - base)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_refine_matches_full_rescan_reference(seed, from_merge):
+    g, _, n = random_graph(seed, n_max=40, allow_loops=(seed % 3 == 0))
+
+    def start() -> PartitionState:
+        if not from_merge:
+            return _random_state(g, n, random.Random(seed))
+        state = PartitionState.singletons(g)
+        _greedy_merge(state, EPSILON)
+        return state
+
+    fast, slow = start(), start()
+    _refine(fast, EPSILON)
+    _reference_refine(slow, EPSILON)
+    assert fast.partition_sets() == slow.partition_sets()
+    assert _snapshot(fast) == _snapshot(slow)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6))
+def test_pricing_and_rejected_dissolution_leave_statistics_bit_identical(seed):
+    g, _, n = random_graph(seed, n_max=30, allow_loops=(seed % 3 == 0))
+    state = _random_state(g, n, random.Random(seed))
+    before = _snapshot(state)
+    for nid in sorted(state.node_comm):
+        counts = state.edge_counts(nid)
+        state.move_deltas(nid, counts, sorted(counts))
+        for target in sorted(state.members):
+            state.move_delta(nid, target)
+    assert _snapshot(state) == before
+    for comm in sorted(state.members):
+        if comm in state.members and len(state.members[comm]) > 1:
+            before = _snapshot(state)
+            if not _dissolve(state, comm, EPSILON):
+                assert _snapshot(state) == before
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_merge_table_matches_scanned_cross_after_every_merge(seed, grouped):
+    g, _, n = random_graph(seed, n_max=16, allow_loops=(seed % 3 == 0))
+    rng = random.Random(seed)
+    group_of = {f"n{i}": rng.randrange(3) for i in range(n)} if grouped else None
+    state = PartitionState.singletons(g)
+    rows = _community_adjacency(state, group_of)
+
+    def mergeable(a: int, b: int) -> bool:
+        if group_of is None:
+            return True
+        return group_of[min(state.members[a])] == group_of[min(state.members[b])]
+
+    def check() -> None:
+        assert set(rows) == set(state.members)
+        for a in state.members:
+            for b in state.members:
+                expected = state.cross(a, b) if a != b and mergeable(a, b) else 0
+                assert rows[a].get(b, 0) == expected
+                assert rows[a].get(b) != 0
+
+    check()
+    while any(rows.values()):
+        a = rng.choice(sorted(c for c, row in rows.items() if row))
+        b = rng.choice(sorted(rows[a]))
+        merged = state.merge(a, b, rows[a][b])
+        _fold_rows(rows, a, b, merged)
+        check()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6))
+def test_merge_loop_matches_scanning_reference(seed):
+    g, _, _ = random_graph(seed, n_max=40, allow_loops=(seed % 3 == 0))
+    fast, slow = PartitionState.singletons(g), PartitionState.singletons(g)
+    merges = [(m.a, m.b, m.merged, m.delta.hex()) for m in _greedy_merge(fast, EPSILON)]
+    expected = [(a, b, c, d.hex()) for a, b, c, d in _reference_greedy_merge(slow, EPSILON)]
+    assert merges == expected
+    assert _snapshot(fast) == _snapshot(slow)
 
 
 # ---------------------------------------------------------------------------
