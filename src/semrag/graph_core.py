@@ -281,7 +281,7 @@ def khop_expand(
     g: TypedGraph,
     anchors: set[str],
     k: int,
-    allowed: set[RelationType],
+    allowed: Iterable[RelationType],
     budget: int = DEFAULT_KHOP_BUDGET,
 ) -> Subgraph:
     """Breadth-first ball of radius k over allowed relations, both directions.
@@ -289,11 +289,15 @@ def khop_expand(
     Deterministic: each frontier is processed in ascending node id order and
     the node budget cuts the final frontier in that same order. Anchors not
     in the graph are ignored. Only the members' own incident edges are
-    read, so the cost follows the ball, not the graph.
+    read, so the cost follows the ball, not the graph. `allowed` may be
+    any collection of relations: it is read once into a tuple, and each
+    edge's relation is compared against it by identity, never hashed.
     """
     valid = sorted(a for a in anchors if a in g.nodes)
     if not valid:
         raise EmptyAnchors("k-hop expansion requires at least one anchor node")
+    allowed = tuple(allowed)
+    edges = g.edges
     hops: dict[str, int] = {a: 0 for a in valid}
     frontier = deque(valid)
     while frontier:
@@ -302,12 +306,14 @@ def khop_expand(
         if depth >= k:
             continue
         neighbors = set()
-        for edge in g.incident_edges(current):
-            if edge.rel not in allowed:
-                continue
-            other = edge.dst if edge.src == current else edge.src
-            if other not in hops:
-                neighbors.add(other)
+        for eid in g.out_edges[current]:
+            edge = edges[eid]
+            if edge.rel in allowed and edge.dst not in hops:
+                neighbors.add(edge.dst)
+        for eid in g.in_edges[current]:
+            edge = edges[eid]
+            if edge.rel in allowed and edge.src not in hops:
+                neighbors.add(edge.src)
         for other in sorted(neighbors):
             if len(hops) >= budget:
                 break

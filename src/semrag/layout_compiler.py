@@ -562,36 +562,57 @@ def header_index(g: TypedGraph) -> HeaderIndex:
     return index
 
 
+CellIndex = dict[tuple[NodeType, HeaderPath], frozenset[str]]
+
+_BIND_OF = {
+    NodeType.ROW_HEADER: RelationType.ROW_BIND,
+    NodeType.COL_HEADER: RelationType.COL_BIND,
+}
+_NO_CELLS: frozenset[str] = frozenset()
+
+
+def cell_index(g: TypedGraph) -> CellIndex:
+    """Cells bound to any header of each (header type, path): the sources
+    of the RowBind in-edges of a row path's headers, or of the ColBind
+    in-edges of a column path's."""
+    return {
+        key: frozenset(_cells_bound_to(g, header_ids, _BIND_OF[key[0]]))
+        for key, header_ids in header_index(g).items()
+    }
+
+
 def lookup_cell(
     g: TypedGraph,
     row_path: Sequence[str] = (),
     col_path: Sequence[str] = (),
     predicates: Sequence[str] = (),
-    headers: Optional[HeaderIndex] = None,
+    cells: Optional[CellIndex] = None,
 ) -> list[CellHit]:
     """Cells whose row and column header paths match; empty side matches all.
 
     `predicates` lists footnote markers the caller asserts are satisfied;
     any remaining guard on a hit is surfaced as its condition text. Hits are
-    ordered by source position (doc, page, bbox). `headers` is the graph's
-    header_index, which a caller making many lookups builds once; without
-    it each call indexes the graph afresh. Raises NotFound when no cell
-    matches.
+    ordered by source position (doc, page, bbox). `cells` is the graph's
+    cell_index, which a caller making many lookups builds once; without it
+    each call indexes the graph afresh. The candidates are one index set,
+    or the intersection of two, so a lookup's cost follows the sizes of its
+    two index sets and its hits, not the in-degree of the path's headers.
+    Raises NotFound when no cell matches.
     """
     row_path = tuple(s.strip() for s in row_path)
     col_path = tuple(s.strip() for s in col_path)
-    if headers is None:
-        headers = header_index(g)
+    if cells is None:
+        cells = cell_index(g)
 
-    candidates: Optional[set[str]] = None
-    if row_path:
-        row_headers = headers.get((NodeType.ROW_HEADER, row_path), [])
-        candidates = _cells_bound_to(g, row_headers, RelationType.ROW_BIND)
-    if col_path:
-        col_headers = headers.get((NodeType.COL_HEADER, col_path), [])
-        bound = _cells_bound_to(g, col_headers, RelationType.COL_BIND)
-        candidates = bound if candidates is None else candidates & bound
-    if candidates is None:
+    row_cells = cells.get((NodeType.ROW_HEADER, row_path), _NO_CELLS)
+    col_cells = cells.get((NodeType.COL_HEADER, col_path), _NO_CELLS)
+    if row_path and col_path:
+        candidates = row_cells & col_cells
+    elif row_path:
+        candidates = row_cells
+    elif col_path:
+        candidates = col_cells
+    else:
         candidates = {n.id for n in g.nodes_of_type(NodeType.CELL)}
     if not candidates:
         raise NotFound(

@@ -12,7 +12,7 @@ records that carry full provenance:
 The query text is embedded once and scored once per retrieval: one
 product of the index matrix with the query gives a score per indexed
 node, and the hit-entropy feature, the med route's vector anchors and
-the chosen strategy all rank that one vector. The gazetteer, compiled
+candidates, and the chosen strategy all read that one vector. The gazetteer, compiled
 once per engine, is matched once per retrieval too; the entity-count
 feature and the med route's term anchors share the result. That match
 runs only the patterns of surfaces whose longest word is one of the
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DanglingNode, EmptyIndex, NoMacroNodes, SchemaError
 from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
-from .layout_compiler import CellHit, Gazetteer, header_index, lookup_cell
+from .layout_compiler import CellHit, Gazetteer, cell_index, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
 from .vector_align import EMBED_DIM, embed_text, hash_counts, unit_rows
@@ -380,8 +380,9 @@ class QueryEngine:
     exactly the graph's indexable nodes in id order, and the rows
     EMBED_DIM wide.
     Construction compiles and word-indexes the gazetteer's term surfaces
-    and indexes the table headers once, so no question or lookup rescans
-    the graph.
+    and builds the cell index (cell_index: the cells bound to each header
+    path) once, so no question or lookup rescans the graph or walks a
+    header's bind edges.
     """
 
     def __init__(
@@ -419,7 +420,7 @@ class QueryEngine:
                 if surface.strip():
                     self._term_of.setdefault(surface, node.id)
         self._gazetteer = Gazetteer(self._term_of)
-        self._headers = header_index(g)
+        self._cells = cell_index(g)
 
     def embed_query(self, text: str) -> np.ndarray:
         """The query's hashed text, scaled by SCORE_SCALE.
@@ -586,21 +587,26 @@ class QueryEngine:
         if not anchors:
             return []
         subgraph = khop_expand(
-            self.g, set(anchors), self.config.khop, set(EXPAND_RELATIONS)
+            self.g, set(anchors), self.config.khop, EXPAND_RELATIONS
         )
-        verbalizable = set(VERBALIZABLE_TYPES)
-        candidates = []
+        hops = subgraph.hops
+        indexed, rows, candidates = [], [], []
         for nid in subgraph.nodes:
             node = self.g.nodes[nid]
-            if node.type not in verbalizable:
+            if node.type not in VERBALIZABLE_TYPES:
                 continue
-            if node.type == NodeType.OPERATOR and "expr" not in node.attrs:
+            if node.type is NodeType.OPERATOR and "expr" not in node.attrs:
                 continue
-            if nid in self._row_of:
-                score = float(self._matrix[self._row_of[nid]] @ q.query)
-            else:
+            row = self._row_of.get(nid)
+            if row is None:
                 score = float(embed_text(retrieval_text(self.g, nid)) @ q.query)
-            candidates.append((nid, score, subgraph.hops[nid]))
+                candidates.append((nid, score, hops[nid]))
+            else:
+                indexed.append(nid)
+                rows.append(row)
+        # indexed candidates read the question's one score product
+        for nid, score in zip(indexed, q.scores[rows].tolist()):
+            candidates.append((nid, score, hops[nid]))
         candidates.sort(key=lambda c: (-c[1], c[2], c[0]))
         return [
             evidence_record(self.g, nid, score, Route.MED, hop)
@@ -627,7 +633,7 @@ class QueryEngine:
         col_path: Sequence[str] = (),
         predicates: Sequence[str] = (),
     ) -> list[CellHit]:
-        return lookup_cell(self.g, row_path, col_path, predicates, self._headers)
+        return lookup_cell(self.g, row_path, col_path, predicates, self._cells)
 
     # -- answering --
 

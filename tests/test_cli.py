@@ -16,7 +16,7 @@ import requests
 from click.testing import CliRunner
 
 from semrag.cli import EXIT_UPSTREAM_ERROR, EXIT_USER_ERROR, cli
-from semrag.doc_model import serialize
+from semrag.doc_model import canonical_json_bytes, serialize
 from semrag.graph_core import NodeType
 from semrag.llm_clients import (
     ENV_LLM_ENDPOINT,
@@ -141,6 +141,53 @@ def _corpus_dir(tmp_path: Path) -> Path:
     for doc in corpus.docs:
         (src / f"{doc.id}.json").write_bytes(serialize(doc))
     return src
+
+
+@pytest.fixture
+def smoke_bundle(tmp_path, env) -> Path:
+    """The three-document synthetic corpus, gazetteer included, indexed
+    through the CLI."""
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    src = tmp_path / "corpus"
+    src.mkdir()
+    for doc in corpus.docs:
+        (src / f"{doc.id}.json").write_bytes(serialize(doc))
+    (src / "gazetteer.json").write_text(json.dumps(corpus.gazetteer))
+    out = tmp_path / "bundle"
+    built = CliRunner().invoke(cli, ["index", str(src), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    return out
+
+
+def _lookup_cli(bundle: Path, *args: str):
+    return CliRunner().invoke(cli, ["query", str(bundle), *args])
+
+
+LOOKUP = ["--row", "param000", "--col", "Limit00,Maximum", "--json"]
+GUARD = "NOTE 1: Applies only under condition C00."
+
+
+def test_header_lookup_prints_the_guarded_cell(smoke_bundle):
+    result = _lookup_cli(smoke_bundle, *LOOKUP)
+    assert result.exit_code == 0, result.output
+    hits = json.loads(result.output)
+    assert result.output == canonical_json_bytes(hits).decode("utf-8") + "\n"
+    assert [(h["node_id"], h["value"], h["unit"], h["condition"]) for h in hits] == [
+        ("SD00:t1:cell0_0", "10", "dBm", GUARD)
+    ]
+
+
+def test_header_lookup_given_the_marker_clears_the_condition(smoke_bundle):
+    result = _lookup_cli(smoke_bundle, *LOOKUP, "--given", "1")
+    assert result.exit_code == 0, result.output
+    hits = json.loads(result.output)
+    assert [(h["node_id"], h["condition"]) for h in hits] == [("SD00:t1:cell0_0", None)]
+
+
+def test_header_lookup_matching_no_cell_is_user_error(smoke_bundle):
+    result = _lookup_cli(smoke_bundle, "--row", "nope", "--col", "Limit00,Maximum")
+    assert result.exit_code == EXIT_USER_ERROR, result.output
+    assert result.output.startswith("error: no cell matches "), result.output
 
 
 def test_online_index_without_endpoint_is_user_error(tmp_path, env):

@@ -270,6 +270,9 @@ def test_khop_hops_match_a_plain_bfs(graph_spec, allowed, k, budget):
         level = sorted({o for nid in level for o in neighbors[nid]} - reference.keys())
         reference.update((nid, hop) for nid in level)
     sub = khop_expand(g, anchors, k, allowed, budget=budget)
+    # relations are compared by identity, so any collection of them serves
+    for given_as in (frozenset, tuple):
+        assert khop_expand(g, anchors, k, given_as(allowed), budget=budget) == sub
     assert sub.nodes == sorted(sub.hops, key=lambda nid: (sub.hops[nid], nid))
     if len(reference) <= budget:
         assert sub.hops == reference

@@ -5,6 +5,7 @@ implementations they replaced, and gold hit@k floors of routed retrieval."""
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 
 import numpy as np
@@ -12,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semrag.layout_compiler as layout_compiler
 import semrag.query_engine as query_engine
+from conftest import random_spanned_table
 from semrag.errors import EmptyIndex, NoMacroNodes, NotFound, SchemaError
-from semrag.graph_core import Node, NodeType, TypedGraph
-from semrag.layout_compiler import Gazetteer, header_index, lookup_cell
+from semrag.graph_core import Node, NodeType, RelationType, TypedGraph, merge_units
+from semrag.layout_compiler import (
+    CellHit,
+    Gazetteer,
+    compile_table,
+    header_index,
+    lookup_cell,
+)
 from semrag.pipeline import (
     PipelineConfig,
     build_bundle,
@@ -343,31 +352,155 @@ def test_high_route_without_macro_nodes_raises_no_macro_nodes():
         engine.retrieve(corpus.gold[0].question, route=Route.HIGH)
 
 
-def _lookup(lookup, row_path, col_path):
+def _lookup(lookup, *args):
     try:
-        return lookup(row_path, col_path)
+        return lookup(*args)
     except NotFound:
         return "not found"
+
+
+def _two_sided_scan(g, row_path, col_path, predicates=()):
+    """lookup_cell as it was before the cell index: per side, the union of
+    the RowBind (or ColBind) in-edge sources of every header with that
+    path, found by a scan of the graph; then the two sides intersected."""
+    row_path = tuple(s.strip() for s in row_path)
+    col_path = tuple(s.strip() for s in col_path)
+
+    def bound(kind, rel, path):
+        return {
+            g.edges[eid].src
+            for header in g.nodes_of_type(kind)
+            if tuple(header.attrs.get("path", ())) == path
+            for eid in g.in_edges[header.id]
+            if g.edges[eid].rel == rel
+        }
+
+    candidates = None
+    if row_path:
+        candidates = bound(NodeType.ROW_HEADER, RelationType.ROW_BIND, row_path)
+    if col_path:
+        cols = bound(NodeType.COL_HEADER, RelationType.COL_BIND, col_path)
+        candidates = cols if candidates is None else candidates & cols
+    if candidates is None:
+        candidates = {n.id for n in g.nodes_of_type(NodeType.CELL)}
+    if not candidates:
+        raise NotFound("no cell matches")
+    hits = []
+    for cell_id in candidates:
+        node = g.nodes[cell_id]
+        guards = sorted(
+            (g.nodes[edge.src].attrs.get("marker", ""), g.nodes[edge.src].text)
+            for edge in (g.edges[eid] for eid in g.in_edges[cell_id])
+            if edge.rel == RelationType.ACTIVATES
+            and g.nodes[edge.src].attrs.get("marker") not in predicates
+        )
+        hits.append(
+            CellHit(
+                node_id=cell_id,
+                value=node.attrs.get("value", node.text),
+                unit=node.attrs.get("unit"),
+                condition="; ".join(text for _, text in guards) or None,
+                prov=node.attrs.get("prov", {}),
+            )
+        )
+    hits.sort(
+        key=lambda h: (
+            h.prov.get("doc_id", ""),
+            h.prov.get("page", 0),
+            tuple(h.prov.get("bbox", ())),
+            h.node_id,
+        )
+    )
+    return hits
+
+
+def _assert_lookups_equal_the_scan(g, engine, predicate_sets=((),)):
+    """Every row path x column path, plus an open and an absent path on
+    each side, looked up by the engine, by lookup_cell building its own
+    index, and by the two-sided scan."""
+    paths = {
+        kind: sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(kind)})
+        + [(), ("absent",)]
+        for kind in (NodeType.ROW_HEADER, NodeType.COL_HEADER)
+    }
+    for row_path in paths[NodeType.ROW_HEADER]:
+        for col_path in paths[NodeType.COL_HEADER]:
+            for predicates in predicate_sets:
+                args = (row_path, col_path, predicates)
+                want = _lookup(_two_sided_scan, g, *args)
+                assert _lookup(lookup_cell, g, *args) == want, args
+                assert _lookup(engine.lookup, *args) == want, args
 
 
 def test_indexed_lookups_equal_graph_scans(built):
     _, bundle, engine = built
     g = bundle.graph
     headers = header_index(g)
-    paths = {}
     for kind in (NodeType.ROW_HEADER, NodeType.COL_HEADER):
-        paths[kind] = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(kind)})
-        for path in paths[kind] + [("absent",)]:
+        paths = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(kind)})
+        for path in paths + [("absent",)]:
             # the scan lookup_cell made per call before the index existed
             scanned = [
                 n.id for n in g.nodes_of_type(kind) if tuple(n.attrs.get("path", ())) == path
             ]
             assert headers.get((kind, path), []) == scanned
-    rows, cols = paths[NodeType.ROW_HEADER] + [()], paths[NodeType.COL_HEADER] + [()]
+    _assert_lookups_equal_the_scan(g, engine)
+
+
+def test_lookups_over_paths_shared_by_many_tables_equal_graph_scans():
+    """Eight random spanned tables, two per document, whose row paths (r0,
+    r1, ...) and column paths (g0/c0, ...) recur from table to table, so
+    each index set holds the cells of several tables."""
+    fragments = []
+    for t in range(8):
+        table, _ = random_spanned_table(random.Random(t), table_id=f"t{t % 2}")
+        fragments.append(compile_table(f"RT{t // 2}", table).fragment)
+    g = merge_units(fragments)
+    assert max(
+        len(ids) for (kind, _), ids in header_index(g).items() if kind is NodeType.COL_HEADER
+    ) >= 4
+    engine = QueryEngine(g, index_vectors(g))
+    _assert_lookups_equal_the_scan(g, engine, predicate_sets=((), ("a",), ("a", "b")))
+
+
+def test_the_engine_builds_its_cell_index_once(built, monkeypatch):
+    corpus, bundle, _ = built
+    g = bundle.graph
+    calls = []
+    original = layout_compiler.cell_index
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(layout_compiler, "cell_index", counting)
+    monkeypatch.setattr(query_engine, "cell_index", counting)
+    engine = make_engine(bundle)
+    assert calls == [g]
+    rows = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(NodeType.ROW_HEADER)})
+    cols = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(NodeType.COL_HEADER)})
     for row_path in rows:
         for col_path in cols:
-            want = _lookup(lambda r, c: lookup_cell(g, r, c), row_path, col_path)
-            assert _lookup(engine.lookup, row_path, col_path) == want
+            _lookup(engine.lookup, row_path, col_path)
+    for query in corpus.gold:
+        engine.answer(query.question, bundle.clients.llm)
+    assert calls == [g]
+
+
+def test_med_route_scores_are_the_questions_score_product(built):
+    corpus, bundle, engine = built
+    asked = 0
+    for query in corpus.gold:
+        route, _, records = engine.retrieve(query.question)
+        if route is not Route.MED:
+            continue
+        asked += 1
+        q = engine._ask(query.question, engine.embed_query(query.question))
+        for record in records:
+            row = engine._row_of.get(record.node_id)
+            if row is not None:
+                assert record.score == float(q.scores[row]), record.node_id
+    assert asked
 
 
 # Measured on synthetic_corpus(n_docs=50, seed=11), whose 650 gold
