@@ -67,6 +67,9 @@ _USER_ERRORS = (
 )
 _UPSTREAM_ERRORS = (HttpError, SummarizerError, TimeoutError)
 
+# budgets, hop bounds and seeds: a negative value is a usage error
+_COUNT = click.IntRange(min=0)
+
 
 def _fail(message: str, code: int):
     click.echo(f"error: {message}", err=True)
@@ -123,12 +126,18 @@ def _read_corpus(corpus_dir: Path) -> tuple[list, list[str]]:
     type=click.Path(exists=True, dir_okay=False),
     help="entity list, one term per line (overrides corpus gazetteer.json)",
 )
-@click.option("--k", default=5, show_default=True, help="evidence budget per query")
-@click.option("--ts", default=500, show_default=True, help="summary token budget")
-@click.option("--khop", default=3, show_default=True, help="expansion hop bound")
+@click.option(
+    "--k", default=5, show_default=True, type=_COUNT, help="evidence budget per query"
+)
+@click.option(
+    "--ts", default=500, show_default=True, type=_COUNT, help="summary token budget"
+)
+@click.option(
+    "--khop", default=3, show_default=True, type=_COUNT, help="expansion hop bound"
+)
 @click.option("--offline/--online", default=True, show_default=True)
 @click.option("--align/--no-align", default=False, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=_COUNT)
 @_guard
 def cmd_index(
     corpus_dir, out_dir, gazetteer_path, k, ts, khop, offline, align, seed
@@ -180,7 +189,7 @@ def _load(bundle_dir: str) -> Bundle:
     help="bypass the router and force this retrieval route",
 )
 @click.option("--json", "as_json", is_flag=True, help="print canonical JSON")
-@click.option("--k", default=None, type=int, help="override evidence budget")
+@click.option("--k", default=None, type=_COUNT, help="override evidence budget")
 @_guard
 def cmd_query(bundle_dir, question, row, col, given, route_name, as_json, k):
     """Answer a question, or look up a table cell by header paths."""

@@ -167,19 +167,6 @@ class TypedGraph:
         self.out_edges[edge.src].append(edge.id)
         self.in_edges[edge.dst].append(edge.id)
 
-    def remove_edge(self, edge_id: str) -> None:
-        edge = self.edges.pop(edge_id)
-        self.out_edges[edge.src].remove(edge_id)
-        self.in_edges[edge.dst].remove(edge_id)
-
-    def remove_node(self, node_id: str) -> None:
-        """Delete the node and every edge touching it."""
-        for eid in set(self.out_edges[node_id]) | set(self.in_edges[node_id]):
-            self.remove_edge(eid)
-        del self.nodes[node_id]
-        del self.out_edges[node_id]
-        del self.in_edges[node_id]
-
     def incident_edges(self, node_id: str) -> Iterable[Edge]:
         """All edges touching the node; a self-loop appears once."""
         for eid in self.out_edges[node_id]:

@@ -5,7 +5,11 @@ and Term nodes with Contains, RefersTo, and Defines edges, resolving textual
 cross-references (clause numbers, table captions, equation labels) against
 the document's own structure. compile_table turns one table into header,
 cell, and predicate nodes whose bind edges make cell lookup a set
-intersection over header paths.
+intersection over header paths: cell_index collects, in one pass over the
+header nodes' bind edges, the cells bound to each header path, and
+lookup_cell intersects a row path's set with a column path's. A cell's
+guard, the text of the footnote predicates activating it, comes from
+cell_condition alone.
 
 Every node carries its block's provenance under attrs["prov"]. Each Cell
 node additionally carries a Src self-loop edge holding the same payload, so
@@ -18,7 +22,7 @@ import _sre
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 try:
     from re._casefix import _EXTRA_CASES
@@ -401,7 +405,15 @@ def resolve_header_paths(table: TableBlock) -> tuple[list[HeaderPath], list[Head
     an empty row-path list (the row side is then unconstrained in lookups).
     """
     grid = expand_grid(table)
-    header_rows, header_cols = _header_extent(table, grid)
+    return _header_paths(table, grid, *_header_extent(table, grid))
+
+
+def _header_paths(
+    table: TableBlock,
+    grid: list[list[tuple[int, int]]],
+    header_rows: int,
+    header_cols: int,
+) -> tuple[list[HeaderPath], list[HeaderPath]]:
     n_rows = len(grid)
     n_cols = len(grid[0])
 
@@ -439,7 +451,7 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
     frag = GraphFragment()
     grid = expand_grid(table)
     header_rows, header_cols = _header_extent(table, grid)
-    row_paths, col_paths = resolve_header_paths(table)
+    row_paths, col_paths = _header_paths(table, grid, header_rows, header_cols)
     out = TableSubgraph(
         doc_id=doc_id,
         block_id=table.id,
@@ -539,29 +551,6 @@ class CellHit:
     prov: dict
 
 
-def _cells_bound_to(g: TypedGraph, header_ids: list[str], rel: RelationType) -> set[str]:
-    cells: set[str] = set()
-    for hid in header_ids:
-        for eid in g.in_edges[hid]:
-            edge = g.edges[eid]
-            if edge.rel == rel:
-                cells.add(edge.src)
-    return cells
-
-
-HeaderIndex = dict[tuple[NodeType, HeaderPath], list[str]]
-
-
-def header_index(g: TypedGraph) -> HeaderIndex:
-    """Row and column header node ids by (header type, path), in graph order."""
-    index: HeaderIndex = {}
-    for node in g.nodes.values():
-        if node.type in (NodeType.ROW_HEADER, NodeType.COL_HEADER):
-            key = (node.type, tuple(node.attrs.get("path", ())))
-            index.setdefault(key, []).append(node.id)
-    return index
-
-
 CellIndex = dict[tuple[NodeType, HeaderPath], frozenset[str]]
 
 _BIND_OF = {
@@ -572,13 +561,36 @@ _NO_CELLS: frozenset[str] = frozenset()
 
 
 def cell_index(g: TypedGraph) -> CellIndex:
-    """Cells bound to any header of each (header type, path): the sources
-    of the RowBind in-edges of a row path's headers, or of the ColBind
-    in-edges of a column path's."""
-    return {
-        key: frozenset(_cells_bound_to(g, header_ids, _BIND_OF[key[0]]))
-        for key, header_ids in header_index(g).items()
-    }
+    """Cells bound to any header of each (header type, path), from one pass
+    over the header nodes: the sources of a row header's RowBind in-edges
+    and of a column header's ColBind in-edges, pooled by path."""
+    bound: dict[tuple[NodeType, HeaderPath], set[str]] = {}
+    for node in g.nodes.values():
+        rel = _BIND_OF.get(node.type)
+        if rel is None:
+            continue
+        cells = bound.setdefault((node.type, tuple(node.attrs.get("path", ()))), set())
+        for eid in g.in_edges[node.id]:
+            edge = g.edges[eid]
+            if edge.rel is rel:
+                cells.add(edge.src)
+    return {key: frozenset(cells) for key, cells in bound.items()}
+
+
+def cell_condition(
+    g: TypedGraph, cell_id: str, satisfied: Collection[str] = ()
+) -> Optional[str]:
+    """Guard texts of the predicates activating a cell whose markers are
+    not satisfied, in marker order and joined by "; "; None when no guard
+    remains or every remaining guard's text is empty."""
+    guards = []
+    for eid in g.in_edges[cell_id]:
+        edge = g.edges[eid]
+        if edge.rel is RelationType.ACTIVATES:
+            pred = g.nodes[edge.src]
+            if pred.attrs.get("marker") not in satisfied:
+                guards.append((pred.attrs.get("marker", ""), pred.text))
+    return "; ".join(text for _, text in sorted(guards)) or None
 
 
 def lookup_cell(
@@ -591,13 +603,14 @@ def lookup_cell(
     """Cells whose row and column header paths match; empty side matches all.
 
     `predicates` lists footnote markers the caller asserts are satisfied;
-    any remaining guard on a hit is surfaced as its condition text. Hits are
-    ordered by source position (doc, page, bbox). `cells` is the graph's
-    cell_index, which a caller making many lookups builds once; without it
-    each call indexes the graph afresh. The candidates are one index set,
-    or the intersection of two, so a lookup's cost follows the sizes of its
-    two index sets and its hits, not the in-degree of the path's headers.
-    Raises NotFound when no cell matches.
+    any remaining guard on a hit is surfaced as its condition text
+    (cell_condition). Hits are ordered by source position (doc, page,
+    bbox). `cells` is the graph's cell_index, which a caller making many
+    lookups builds once; without it each call indexes the graph afresh.
+    The candidates are one index set, or the intersection of two, so a
+    lookup's cost follows the sizes of its two index sets and its hits,
+    not the in-degree of the path's headers. Raises NotFound when no cell
+    matches.
     """
     row_path = tuple(s.strip() for s in row_path)
     col_path = tuple(s.strip() for s in col_path)
@@ -623,20 +636,12 @@ def lookup_cell(
     hits = []
     for cell_id in candidates:
         node = g.nodes[cell_id]
-        guards = []
-        for eid in g.in_edges[cell_id]:
-            edge = g.edges[eid]
-            if edge.rel == RelationType.ACTIVATES:
-                pred = g.nodes[edge.src]
-                if pred.attrs.get("marker") not in satisfied:
-                    guards.append((pred.attrs.get("marker", ""), pred.text))
-        condition = "; ".join(text for _, text in sorted(guards)) or None
         hits.append(
             CellHit(
                 node_id=cell_id,
                 value=node.attrs.get("value", node.text),
                 unit=node.attrs.get("unit"),
-                condition=condition,
+                condition=cell_condition(g, cell_id, satisfied),
                 prov=node.attrs.get("prov", {}),
             )
         )

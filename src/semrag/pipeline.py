@@ -75,7 +75,7 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, obj) -> "PipelineConfig":
         """The config a manifest records; every field present, no other,
-        each of its field's type."""
+        each of its field's type, and no int negative."""
         if not isinstance(obj, dict):
             raise SchemaError("/config", "bundle manifest holds no config object")
         expected = {f.name: f.type for f in fields(cls)}
@@ -90,6 +90,10 @@ class PipelineConfig:
                 raise SchemaError(
                     f"/config/{name}",
                     f"expected {type_name}, found {type(obj[name]).__name__}",
+                )
+            if type_name == "int" and obj[name] < 0:
+                raise SchemaError(
+                    f"/config/{name}", f"expected a non-negative int, found {obj[name]}"
                 )
         return cls(**obj)
 
@@ -185,14 +189,8 @@ def _index_from_json(obj) -> MinimizeResult:
     partition = _field(obj, "partition", (dict,))
     if not all(isinstance(v, str) for v in partition.values()):
         raise SchemaError("/partition", "index.json maps a node to no community key")
-    communities: dict[str, list[str]] = {}
-    for nid, key in partition.items():
-        communities.setdefault(key, []).append(nid)
-    for key in communities:
-        communities[key].sort()
     return MinimizeResult(
         partition=partition,
-        communities=communities,
         dendrogram=[_merge(step) for step in _field(obj, "dendrogram", (list,))],
         h1=_field(obj, "h1", (int, float)),
         h2=_field(obj, "h2", (int, float)),

@@ -34,13 +34,14 @@ import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DanglingNode, EmptyIndex, NoMacroNodes, SchemaError
 from .graph_core import NodeType, RelationType, TypedGraph, khop_expand
-from .layout_compiler import CellHit, Gazetteer, cell_index, lookup_cell
+from .layout_compiler import CellHit, Gazetteer, cell_condition, cell_index, lookup_cell
 from .llm_clients import LlmClient, count_tokens
 from .sem_index import shannon
 from .vector_align import EMBED_DIM, embed_text, hash_counts, unit_rows
@@ -174,19 +175,6 @@ def _macro_representative(g: TypedGraph, node_id: str) -> Optional[dict]:
     return None
 
 
-def _cell_condition(g: TypedGraph, node_id: str) -> Optional[str]:
-    """Guard texts of the predicates activating a cell, in marker order."""
-    guards = []
-    for eid in g.in_edges[node_id]:
-        edge = g.edges[eid]
-        if edge.rel == RelationType.ACTIVATES:
-            pred = g.nodes[edge.src]
-            guards.append((pred.attrs.get("marker", ""), pred.text))
-    if not guards:
-        return None
-    return "; ".join(text for _, text in sorted(guards))
-
-
 def _enclosing_section_title(g: TypedGraph, node_id: str) -> Optional[str]:
     for eid in g.in_edges[node_id]:
         edge = g.edges[eid]
@@ -210,7 +198,7 @@ def _statement_fields(
         col = " / ".join(node.attrs.get("col_path", []))
         subject = row or "the table cell"
         obj = f"{col} = {rendered}" if col else rendered
-        return subject, "has value under", obj, _cell_condition(g, node_id)
+        return subject, "has value under", obj, cell_condition(g, node_id)
     if node.type == NodeType.PARAGRAPH:
         subject = _enclosing_section_title(g, node_id) or node.attrs.get(
             "prov", {}
@@ -380,9 +368,10 @@ class QueryEngine:
     exactly the graph's indexable nodes in id order, and the rows
     EMBED_DIM wide.
     Construction compiles and word-indexes the gazetteer's term surfaces
-    and builds the cell index (cell_index: the cells bound to each header
-    path) once, so no question or lookup rescans the graph or walks a
-    header's bind edges.
+    once, so no question rescans the graph. The cell index (cell_index:
+    the cells bound to each header path) is built by the first lookup and
+    kept, so an engine that only answers questions never builds it and no
+    later lookup walks a header's bind edges.
     """
 
     def __init__(
@@ -420,7 +409,10 @@ class QueryEngine:
                 if surface.strip():
                     self._term_of.setdefault(surface, node.id)
         self._gazetteer = Gazetteer(self._term_of)
-        self._cells = cell_index(g)
+
+    @cached_property
+    def _cells(self):
+        return cell_index(self.g)
 
     def embed_query(self, text: str) -> np.ndarray:
         """The query's hashed text, scaled by SCORE_SCALE.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -386,16 +386,24 @@ class MinimizeResult:
     """Final partition with its certifying dendrogram.
 
     partition maps node id to a stable community key (the smallest member
-    id); communities maps each key to its sorted members. Replaying the
-    dendrogram from singletons reaches exactly this partition.
+    id); communities, derived from it, maps each key to its sorted
+    members. Replaying the dendrogram from singletons reaches exactly this
+    partition.
     """
 
     partition: dict[str, str]
-    communities: dict[str, list[str]]
     dendrogram: list[Merge]
     h1: float
     h2: float
     epsilon: float
+    communities: dict[str, list[str]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.communities = {}
+        for nid, key in self.partition.items():
+            self.communities.setdefault(key, []).append(nid)
+        for members in self.communities.values():
+            members.sort()
 
 
 def _community_adjacency(
@@ -608,14 +616,8 @@ def sem_minimize(g: TypedGraph) -> MinimizeResult:
     final_state = PartitionState.singletons(g)
     merges = _greedy_merge(final_state, EPSILON, group_of=state.labels_by_min_member())
     partition = final_state.labels_by_min_member()
-    communities: dict[str, list[str]] = {}
-    for nid, key in partition.items():
-        communities.setdefault(key, []).append(nid)
-    for key in communities:
-        communities[key].sort()
     return MinimizeResult(
         partition=partition,
-        communities=communities,
         dendrogram=merges,
         h1=h1(g),
         h2=final_state.h2(),
@@ -668,21 +670,20 @@ def materialize_macronodes(
     summarize: Summarize,
     budget_tokens: int = SUMMARY_BUDGET_TOKENS,
 ) -> list[str]:
-    """Attach one summary node per community; safe to run repeatedly.
+    """Attach one summary node per community to a graph that holds none yet.
 
-    Each macro node's id is derived from its community key, so a second
-    materialization replaces rather than duplicates. Members point at their
-    macro with membership edges; those edges and the macro nodes themselves
-    are invisible to the entropy statistics via base_projection.
+    Each macro node's id is derived from its community key. Members point
+    at their macro with membership edges; those edges and the macro nodes
+    themselves are invisible to the entropy statistics via base_projection.
+    A node belongs to one community, so no membership edge is attached
+    before its community's text is read, and members rank by the degrees
+    the index was built on.
     """
-    base = base_projection(g)
-    for stale in sorted(n.id for n in g.nodes_of_type(NodeType.MACRO_NODE)):
-        g.remove_node(stale)
     macro_ids = []
     for key in sorted(index.communities):
         members = index.communities[key]
         macro_id = f"macro:{key}"
-        text = community_text(base, members)
+        text = community_text(g, members)
         try:
             summary, tokens_used = summarize(text, budget_tokens)
         except Exception as exc:

@@ -8,6 +8,7 @@ builds an online client.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import requests
 from click.testing import CliRunner
 
-from semrag.cli import EXIT_UPSTREAM_ERROR, EXIT_USER_ERROR, cli
+from semrag.cli import EXIT_UPSTREAM_ERROR, EXIT_USER_ERROR, cli, main
 from semrag.doc_model import canonical_json_bytes, serialize
 from semrag.graph_core import NodeType
 from semrag.llm_clients import (
@@ -32,6 +33,9 @@ from semrag.synth import synthetic_corpus
 from semrag.vector_align import load_vectors, save_vectors
 
 QUESTION = "value of param000 under Limit00 Maximum"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_STATS = GOLDEN / "cli_stats.json"
+GOLDEN_LOOKUPS = GOLDEN / "cli_lookups.json"
 
 
 @pytest.fixture
@@ -143,20 +147,24 @@ def _corpus_dir(tmp_path: Path) -> Path:
     return src
 
 
-@pytest.fixture
-def smoke_bundle(tmp_path, env) -> Path:
+def _index_smoke_corpus(tmp: Path) -> Path:
     """The three-document synthetic corpus, gazetteer included, indexed
-    through the CLI."""
+    through the CLI into tmp/bundle."""
     corpus = synthetic_corpus(n_docs=3, seed=0)
-    src = tmp_path / "corpus"
+    src = tmp / "corpus"
     src.mkdir()
     for doc in corpus.docs:
         (src / f"{doc.id}.json").write_bytes(serialize(doc))
     (src / "gazetteer.json").write_text(json.dumps(corpus.gazetteer))
-    out = tmp_path / "bundle"
+    out = tmp / "bundle"
     built = CliRunner().invoke(cli, ["index", str(src), "--out", str(out)])
     assert built.exit_code == 0, built.output
     return out
+
+
+@pytest.fixture
+def smoke_bundle(tmp_path, env) -> Path:
+    return _index_smoke_corpus(tmp_path)
 
 
 def _lookup_cli(bundle: Path, *args: str):
@@ -188,6 +196,48 @@ def test_header_lookup_matching_no_cell_is_user_error(smoke_bundle):
     result = _lookup_cli(smoke_bundle, "--row", "nope", "--col", "Limit00,Maximum")
     assert result.exit_code == EXIT_USER_ERROR, result.output
     assert result.output.startswith("error: no cell matches "), result.output
+
+
+# ---------------------------------------------------------------------------
+# CLI output of the smoke bundle, pinned in golden/
+
+
+@pytest.fixture(scope="module")
+def golden_bundle(tmp_path_factory) -> Path:
+    with pytest.MonkeyPatch.context() as patch:
+        for name in (ENV_LLM_ENDPOINT, ENV_OFFLINE):
+            patch.delenv(name, raising=False)
+        yield _index_smoke_corpus(tmp_path_factory.mktemp("golden"))
+
+
+def _lookup_outputs(bundle: Path) -> list[list]:
+    """[row, col, given, exit code, output] of `semrag query --json` for
+    every row path x column path of the bundle's headers, without and with
+    the footnote marker 1 given."""
+    g = load_bundle(bundle).graph
+    rows, cols = (
+        sorted({",".join(n.attrs["path"]) for n in g.nodes_of_type(kind)})
+        for kind in (NodeType.ROW_HEADER, NodeType.COL_HEADER)
+    )
+    outputs = []
+    for row in rows:
+        for col in cols:
+            for given in ("", "1"):
+                args = ["--row", row, "--col", col, "--json"]
+                result = _lookup_cli(bundle, *args, *(["--given", given] if given else []))
+                outputs.append([row, col, given, result.exit_code, result.output])
+    return outputs
+
+
+def test_stats_json_matches_golden(golden_bundle, env):
+    result = CliRunner().invoke(cli, ["stats", str(golden_bundle), "--json"])
+    assert result.exit_code == 0, result.output
+    assert result.output == GOLDEN_STATS.read_text("utf-8")
+
+
+def test_every_header_lookup_matches_golden(golden_bundle, env):
+    expected = json.loads(GOLDEN_LOOKUPS.read_text("utf-8"))
+    assert _lookup_outputs(golden_bundle) == expected
 
 
 def test_online_index_without_endpoint_is_user_error(tmp_path, env):
@@ -447,6 +497,48 @@ def test_manifest_config_value_of_the_wrong_type_is_user_error(tmp_path, env):
         assert "error: /config/budget:" in result.output
 
 
+def _main(monkeypatch, capsys, *args: str) -> tuple[int, str]:
+    """Exit code and standard error of the `semrag` entry point."""
+    monkeypatch.setattr(sys, "argv", ["semrag", *args])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    return stopped.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--ts", "-5"), ("--k", "-1"), ("--khop", "-1"), ("--align", "--seed", "-1")],
+    ids=["ts", "k", "khop", "aligned-seed"],
+)
+def test_index_with_a_negative_value_is_user_error(tmp_path, env, capsys, args):
+    out = tmp_path / "bundle"
+    src = _corpus_dir(tmp_path)
+    code, err = _main(env, capsys, "index", str(src), "--out", str(out), *args)
+    assert code == EXIT_USER_ERROR, err
+    assert f"Invalid value for '{args[-2]}'" in err
+    assert not out.exists()
+
+
+def test_query_with_a_negative_budget_is_user_error(smoke_bundle, env, capsys):
+    code, err = _main(
+        env, capsys, "query", str(smoke_bundle), QUESTION, "--k", "-1", "--route", "med"
+    )
+    assert code == EXIT_USER_ERROR, err
+    assert "Invalid value for '--k'" in err
+
+
+def test_manifest_config_with_a_negative_value_is_user_error(tmp_path, env):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    _edit_manifest_config(out, lambda m: m["config"].update(summary_budget_tokens=-5))
+    for command in (["stats", str(out)], ["query", str(out), QUESTION]):
+        result = runner.invoke(cli, command)
+        assert result.exit_code == EXIT_USER_ERROR, result.output
+        assert "error: /config/summary_budget_tokens:" in result.output
+
+
 @pytest.mark.parametrize(
     "member, command",
     [("manifest.json", "stats"), ("vectors.json", "query")],
@@ -487,3 +579,23 @@ def test_gazetteer_file_that_is_not_utf8_is_user_error(tmp_path, env):
     )
     assert result.exit_code == EXIT_USER_ERROR, result.output
     assert "error: 'utf-8' codec can't decode" in result.output
+
+
+def _write_goldens() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = _index_smoke_corpus(Path(tmp))
+        stats = CliRunner().invoke(cli, ["stats", str(bundle), "--json"])
+        assert stats.exit_code == 0, stats.output
+        outputs = _lookup_outputs(bundle)
+    GOLDEN.mkdir(exist_ok=True)
+    GOLDEN_STATS.write_text(stats.output, encoding="utf-8")
+    lines = ",\n".join(json.dumps(case, sort_keys=True) for case in outputs)
+    GOLDEN_LOOKUPS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_STATS} and {GOLDEN_LOOKUPS} ({len(outputs)} lookups)",
+          file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_goldens()

@@ -81,14 +81,6 @@ def test_self_loop_counts_two_toward_degree():
     assert volume(g) == 2
 
 
-def test_remove_node_drops_incident_edges():
-    g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    g.remove_node("n1")
-    assert set(g.nodes) == {"n0", "n2"}
-    assert all("n1" not in (e.src, e.dst) for e in g.edges.values())
-    assert len(g.edges) == 1
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_volume_is_twice_edge_count(seed):
     g, edges, _ = random_graph(seed, n_max=20, allow_loops=(seed % 2 == 0))

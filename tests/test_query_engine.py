@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 import semrag.layout_compiler as layout_compiler
 import semrag.query_engine as query_engine
 from conftest import random_spanned_table
+from semrag.doc_model import CellSpec, Provenance, TableBlock
 from semrag.errors import EmptyIndex, NoMacroNodes, NotFound, SchemaError
 from semrag.graph_core import Node, NodeType, RelationType, TypedGraph, merge_units
 from semrag.layout_compiler import (
     CellHit,
     Gazetteer,
     compile_table,
-    header_index,
     lookup_cell,
 )
 from semrag.pipeline import (
@@ -38,6 +38,7 @@ from semrag.query_engine import (
     QueryEngine,
     RetrievalConfig,
     Route,
+    evidence_record,
     index_vectors,
     retrieval_text,
 )
@@ -434,17 +435,7 @@ def _assert_lookups_equal_the_scan(g, engine, predicate_sets=((),)):
 
 def test_indexed_lookups_equal_graph_scans(built):
     _, bundle, engine = built
-    g = bundle.graph
-    headers = header_index(g)
-    for kind in (NodeType.ROW_HEADER, NodeType.COL_HEADER):
-        paths = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(kind)})
-        for path in paths + [("absent",)]:
-            # the scan lookup_cell made per call before the index existed
-            scanned = [
-                n.id for n in g.nodes_of_type(kind) if tuple(n.attrs.get("path", ())) == path
-            ]
-            assert headers.get((kind, path), []) == scanned
-    _assert_lookups_equal_the_scan(g, engine)
+    _assert_lookups_equal_the_scan(bundle.graph, engine)
 
 
 def test_lookups_over_paths_shared_by_many_tables_equal_graph_scans():
@@ -456,11 +447,38 @@ def test_lookups_over_paths_shared_by_many_tables_equal_graph_scans():
         table, _ = random_spanned_table(random.Random(t), table_id=f"t{t % 2}")
         fragments.append(compile_table(f"RT{t // 2}", table).fragment)
     g = merge_units(fragments)
-    assert max(
-        len(ids) for (kind, _), ids in header_index(g).items() if kind is NodeType.COL_HEADER
-    ) >= 4
+    headers_per_path: dict[tuple, int] = {}
+    for node in g.nodes_of_type(NodeType.COL_HEADER):
+        path = tuple(node.attrs["path"])
+        headers_per_path[path] = headers_per_path.get(path, 0) + 1
+    assert max(headers_per_path.values()) >= 4
     engine = QueryEngine(g, index_vectors(g))
     _assert_lookups_equal_the_scan(g, engine, predicate_sets=((), ("a",), ("a", "b")))
+
+
+@pytest.mark.parametrize(
+    "footnotes, condition",
+    [
+        ((("1", ""),), None),
+        ((("1", ""), ("2", "NOTE 2: low band.")), "; NOTE 2: low band."),
+        ((("1", "NOTE 1: high band."),), "NOTE 1: high band."),
+    ],
+    ids=["empty", "empty-and-text", "text"],
+)
+def test_lookups_and_evidence_give_a_cell_the_same_condition(footnotes, condition):
+    markers = tuple(marker for marker, _ in footnotes)
+    rows = (
+        (CellSpec("Parameter", is_header=True), CellSpec("Maximum", is_header=True)),
+        (CellSpec("alpha", is_header=True), CellSpec("23", footnote_markers=markers)),
+    )
+    prov = Provenance("DOC", "7.1", 2, (10.0, 20.0, 200.0, 30.0))
+    table = TableBlock("t1", prov, rows, "Table 1: limits", footnotes)
+    g = merge_units([compile_table("DOC", table).fragment])
+    [hit] = lookup_cell(g, ("alpha",), ("Maximum",))
+    record = evidence_record(g, hit.node_id, 0.0, Route.LOW)
+    assert hit.condition == record.condition == condition
+    [cleared] = lookup_cell(g, ("alpha",), ("Maximum",), markers)
+    assert cleared.condition is None
 
 
 def test_the_engine_builds_its_cell_index_once(built, monkeypatch):
@@ -476,9 +494,13 @@ def test_the_engine_builds_its_cell_index_once(built, monkeypatch):
     monkeypatch.setattr(layout_compiler, "cell_index", counting)
     monkeypatch.setattr(query_engine, "cell_index", counting)
     engine = make_engine(bundle)
-    assert calls == [g]
+    for query in corpus.gold:
+        engine.answer(query.question, bundle.clients.llm)
+    assert calls == []
     rows = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(NodeType.ROW_HEADER)})
     cols = sorted({tuple(n.attrs["path"]) for n in g.nodes_of_type(NodeType.COL_HEADER)})
+    _lookup(engine.lookup, rows[0], cols[0])
+    assert calls == [g]
     for row_path in rows:
         for col_path in cols:
             _lookup(engine.lookup, row_path, col_path)
