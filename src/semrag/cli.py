@@ -101,17 +101,20 @@ def _read_corpus(corpus_dir: Path) -> tuple[list, list[str]]:
     """Load every intermediate-JSON document in a directory, sorted by name.
 
     A gazetteer.json file (a JSON array of strings) rides along as the
-    entity gazetteer; it is not itself a document.
+    entity gazetteer; it is not itself a document. Anything else in it
+    raises SchemaError.
     """
     docs = []
     gazetteer: list[str] = []
     for path in sorted(corpus_dir.glob("*.json")):
         if path.name == "gazetteer.json":
-            gazetteer = [
-                str(term)
-                for term in json.loads(path.read_text("utf-8"))
-                if str(term).strip()
-            ]
+            terms = json.loads(path.read_text("utf-8"))
+            if type(terms) is not list:
+                raise SchemaError("", "gazetteer.json is not a JSON array of strings")
+            for i, term in enumerate(terms):
+                if type(term) is not str:
+                    raise SchemaError(f"/{i}", f"gazetteer.json term {i} is not a string")
+            gazetteer = [term for term in terms if term.strip()]
             continue
         docs.append(load_document(path.read_bytes()))
     return docs, gazetteer
@@ -265,10 +268,15 @@ def cmd_stats(bundle_dir, as_json):
     for members in bundle.index.communities.values():
         histogram[len(members)] = histogram.get(len(members), 0) + 1
     trace = [m.delta for m in bundle.index.dendrogram]
-    index_tokens = sum(
-        int(node.attrs["tokens_used"])
-        for node in bundle.graph.nodes_of_type(NodeType.MACRO_NODE)
-    )
+    index_tokens = 0
+    for node in bundle.graph.nodes_of_type(NodeType.MACRO_NODE):
+        tokens = node.attrs.get("tokens_used")
+        if type(tokens) is not int:
+            raise SchemaError(
+                f"/{node.id}/attrs/tokens_used",
+                f"macro node {node.id!r} records no int tokens_used",
+            )
+        index_tokens += tokens
     payload = {
         "nodes": len(bundle.graph.nodes),
         "edges": len(bundle.graph.edges),

@@ -20,12 +20,11 @@ from typing import Optional, Sequence, Union
 from .doc_model import (
     EquationBlock,
     ParagraphBlock,
-    Provenance,
     SectionBlock,
     SourceDocument,
 )
 from .errors import NotAnOperator, NotFound, ParseError, UnsupportedConstructError
-from .graph_core import GraphFragment, Node, NodeType, RelationType
+from .graph_core import GraphFragment, Node, NodeType, RelationType, prov_attrs
 
 logger = logging.getLogger(__name__)
 
@@ -482,7 +481,7 @@ def compile_formula(doc_id: str, eq: EquationBlock) -> FormulaSubgraph:
             if node_id is None:
                 node_id = f"{base}:v{node.name}"
                 frag.add_node(
-                    Node(node_id, NodeType.VARIABLE, node.name, _attrs(prov))
+                    Node(node_id, NodeType.VARIABLE, node.name, prov_attrs(prov))
                 )
                 out.variables[node.name] = node_id
             return node_id
@@ -490,7 +489,7 @@ def compile_formula(doc_id: str, eq: EquationBlock) -> FormulaSubgraph:
         if node_id is None:
             node_id = f"{base}:k{node.literal}"
             frag.add_node(
-                Node(node_id, NodeType.CONSTANT, node.literal, _attrs(prov))
+                Node(node_id, NodeType.CONSTANT, node.literal, prov_attrs(prov))
             )
             out.constants[node.literal] = node_id
         return node_id
@@ -512,7 +511,7 @@ def compile_formula(doc_id: str, eq: EquationBlock) -> FormulaSubgraph:
             children = node.args
         else:
             raise NotAnOperator(f"cannot emit operator for {type(node).__name__}")
-        attrs = _attrs(prov)
+        attrs = prov_attrs(prov)
         attrs["expr"] = print_math(node)
         frag.add_node(Node(node_id, NodeType.OPERATOR, symbol, attrs))
         child_ids = [emit(child) for child in children]
@@ -531,10 +530,6 @@ def compile_formula(doc_id: str, eq: EquationBlock) -> FormulaSubgraph:
     if eq.label is not None:
         root.attrs["label"] = eq.label
     return out
-
-
-def _attrs(prov: Provenance) -> dict:
-    return {"prov": prov.to_json()}
 
 
 # --- symbol definition linking ----------------------------------------------

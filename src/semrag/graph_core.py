@@ -10,7 +10,10 @@ Node ids are namespaced by document ("{doc}:{block}" and suffixes); unified
 terms live under the corpus-wide "term:{key}" namespace; macro nodes under
 "macro:{community}". Persistence is two JSONL byte streams, nodes and
 edges, see save_graph/load_graph; where they are stored and how they are
-checked is the bundle's business (pipeline).
+checked is the bundle's business (pipeline). A loaded graph keeps one
+string per node id, shared by its nodes and edges, and one dict per
+distinct provenance, shared by the nodes and edges that carry it; its
+attrs are read-only.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from .doc_model import canonical_json_bytes
+from .doc_model import Provenance, canonical_json_bytes
 from .errors import EmptyAnchors, IdCollisionError, SchemaError
 
 logger = logging.getLogger(__name__)
@@ -55,7 +58,7 @@ class RelationType(Enum):
     MEMBER_OF = "MemberOf"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: str
     type: NodeType
@@ -63,13 +66,18 @@ class Node:
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: str
     src: str
     dst: str
     rel: RelationType
     attrs: dict = field(default_factory=dict)
+
+
+def prov_attrs(prov: Provenance) -> dict:
+    """The attrs of a node or edge compiled from one source block."""
+    return {"prov": prov.to_json()}
 
 
 def edge_id(src: str, rel: RelationType, dst: str, k: int = 0) -> str:
@@ -344,25 +352,48 @@ def save_graph(g: TypedGraph) -> tuple[bytes, bytes]:
 _NODE_KEYS = {"id": str, "type": str, "text": str, "attrs": dict}
 _EDGE_KEYS = {"id": str, "src": str, "dst": str, "rel": str, "attrs": dict}
 
+# lines parsed per json.loads call; json keeps one string per key within a call
+_CHUNK = 1024
+
+
+def _values(chunk: list[tuple[int, str]]):
+    """The JSON value on each numbered line of a chunk.
+
+    The chunk is parsed as one array. If that fails, or gives other than
+    one value per line (a line holding two values), it is parsed line by
+    line, lazily, so that the line at fault raises what it raises alone.
+    """
+    try:
+        values = json.loads("[" + ",".join(line for _, line in chunk) + "]")
+    except (ValueError, RecursionError):  # the array nests one level deeper
+        values = None
+    if values is None or len(values) != len(chunk):
+        return (json.loads(line) for _, line in chunk)
+    return values
+
 
 def _records(blob: bytes, member: str, keys: dict[str, type]):
     """Each non-blank line of a JSONL member, numbered from 1, as an object
     holding keys of the given types; anything else raises SchemaError."""
     names, kinds = tuple(keys), tuple(keys.values())
     # decoded once: canonical JSON escapes every newline inside a string
-    for number, line in enumerate(blob.decode("utf-8").split("\n"), 1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if type(obj) is not dict:
-            raise SchemaError(f"/{number}", f"{member} line {number} is not a JSON object")
-        if tuple(map(type, map(obj.get, names))) != kinds:
-            key = next(k for k in names if type(obj.get(k)) is not keys[k])
-            raise SchemaError(
-                f"/{number}/{key}",
-                f"{member} line {number} {key} is missing or not {keys[key].__name__}",
-            )
-        yield number, obj
+    lines = [
+        (number, line)
+        for number, line in enumerate(blob.decode("utf-8").split("\n"), 1)
+        if line.strip()
+    ]
+    for start in range(0, len(lines), _CHUNK):
+        chunk = lines[start : start + _CHUNK]
+        for (number, _), obj in zip(chunk, _values(chunk)):
+            if type(obj) is not dict:
+                raise SchemaError(f"/{number}", f"{member} line {number} is not a JSON object")
+            if tuple(map(type, map(obj.get, names))) != kinds:
+                key = next(k for k in names if type(obj.get(k)) is not keys[k])
+                raise SchemaError(
+                    f"/{number}/{key}",
+                    f"{member} line {number} {key} is missing or not {keys[key].__name__}",
+                )
+            yield number, obj
 
 
 _NODE_TYPES = {kind.value: kind for kind in NodeType}
@@ -372,8 +403,23 @@ _RELATION_TYPES = {rel.value: rel for rel in RelationType}
 def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
     """The graph save_graph encoded as these two blobs. A line that is not
     such a record, an edge to no node, or an id given two payloads raises
-    SchemaError."""
+    SchemaError.
+
+    The graph holds one object per distinct value where the encoding
+    repeats it: an edge's src and dst are the id strings that key
+    ``graph.nodes``, and nodes and edges whose ``attrs["prov"]`` are equal
+    (by ``repr``, which keeps 1, 1.0 and True apart) share one provenance
+    dict. So a loaded graph's attrs are read-only: a change to one
+    provenance would change every node and edge that shares it.
+    """
     graph = TypedGraph()
+    provs: dict[str, object] = {}
+
+    def shared(attrs: dict) -> dict:
+        if "prov" in attrs:
+            attrs["prov"] = provs.setdefault(repr(attrs["prov"]), attrs["prov"])
+        return attrs
+
     for number, obj in _records(nodes_blob, "nodes.jsonl", _NODE_KEYS):
         kind = _NODE_TYPES.get(obj["type"])
         if kind is None:
@@ -381,17 +427,20 @@ def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
                 f"/{number}/type", f"nodes.jsonl holds an unknown type {obj['type']!r}"
             )
         try:
-            graph.add_node(Node(obj["id"], kind, obj["text"], obj["attrs"]))
+            graph.add_node(Node(obj["id"], kind, obj["text"], shared(obj["attrs"])))
         except IdCollisionError as exc:
             raise SchemaError(f"/{number}", f"nodes.jsonl line {number}: {exc}") from None
+    ids = {node_id: node_id for node_id in graph.nodes}
     for number, obj in _records(edges_blob, "edges.jsonl", _EDGE_KEYS):
         rel = _RELATION_TYPES.get(obj["rel"])
         if rel is None:
             raise SchemaError(
                 f"/{number}/rel", f"edges.jsonl holds an unknown rel {obj['rel']!r}"
             )
+        src, dst = obj["src"], obj["dst"]
+        edge = Edge(obj["id"], ids.get(src, src), ids.get(dst, dst), rel, shared(obj["attrs"]))
         try:
-            graph.add_edge(Edge(obj["id"], obj["src"], obj["dst"], rel, obj["attrs"]))
+            graph.add_edge(edge)
         except (ValueError, IdCollisionError) as exc:  # no such endpoint, or a reused id
             raise SchemaError(f"/{number}", f"edges.jsonl line {number}: {exc}") from None
     return graph

@@ -32,7 +32,6 @@ except ImportError:  # Python 3.10 keeps the same table in sre_compile
 from .doc_model import (
     EquationBlock,
     ParagraphBlock,
-    Provenance,
     SectionBlock,
     SourceDocument,
     TableBlock,
@@ -46,6 +45,7 @@ from .graph_core import (
     RelationType,
     TypedGraph,
     normalize_term,
+    prov_attrs,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,10 +81,6 @@ class TableSubgraph:
     row_paths: list[HeaderPath]
     col_paths: list[HeaderPath]
     cell_ids: list[str] = field(default_factory=list)
-
-
-def _prov_attrs(prov: Provenance) -> dict:
-    return {"prov": prov.to_json()}
 
 
 # re.IGNORECASE puts U+0345, which is not a word character, in one case
@@ -218,7 +214,7 @@ def compile_text(
     for block in doc.ordered_blocks():
         if isinstance(block, SectionBlock):
             node_id = f"{doc.id}:{block.id}"
-            attrs = _prov_attrs(block.prov)
+            attrs = prov_attrs(block.prov)
             attrs["level"] = block.level
             frag.add_node(Node(node_id, NodeType.SECTION, block.title, attrs))
             section_node[block.id] = node_id
@@ -260,7 +256,7 @@ def compile_text(
         if not isinstance(block, ParagraphBlock):
             continue
         para_id = f"{doc.id}:{block.id}"
-        frag.add_node(Node(para_id, NodeType.PARAGRAPH, block.text, _prov_attrs(block.prov)))
+        frag.add_node(Node(para_id, NodeType.PARAGRAPH, block.text, prov_attrs(block.prov)))
         frag.add_edge(section_node[block.parent_section], RelationType.CONTAINS, para_id)
 
         covered: list[tuple[int, int]] = []
@@ -275,7 +271,7 @@ def compile_text(
                 if term_id is None:
                     term_id = f"{doc.id}:term:{key}"
                     frag.add_node(
-                        Node(term_id, NodeType.TERM, surface, _prov_attrs(block.prov))
+                        Node(term_id, NodeType.TERM, surface, prov_attrs(block.prov))
                     )
                     out.term_ids[key] = term_id
                 if not frag.has_edge(para_id, RelationType.REFERS_TO, term_id):
@@ -466,7 +462,7 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
     for path in row_paths:
         if path and path not in row_header_id:
             node_id = f"{base}:r{len(row_header_id)}"
-            attrs = _prov_attrs(prov)
+            attrs = prov_attrs(prov)
             attrs["path"] = list(path)
             frag.add_node(Node(node_id, NodeType.ROW_HEADER, " | ".join(path), attrs))
             row_header_id[path] = node_id
@@ -474,7 +470,7 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
     for path in col_paths:
         if path and path not in col_header_id:
             node_id = f"{base}:c{len(col_header_id)}"
-            attrs = _prov_attrs(prov)
+            attrs = prov_attrs(prov)
             attrs["path"] = list(path)
             frag.add_node(Node(node_id, NodeType.COL_HEADER, " | ".join(path), attrs))
             col_header_id[path] = node_id
@@ -500,7 +496,7 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
             cell_id = f"{base}:cell{dr}_{dc}"
             row_path = row_paths[dr] if row_paths else ()
             col_path = col_paths[dc] if col_paths else ()
-            attrs = _prov_attrs(prov)
+            attrs = prov_attrs(prov)
             attrs.update(
                 {
                     "value": value,
@@ -514,7 +510,7 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
                 attrs["release_tag"] = prov.release_tag
             frag.add_node(Node(cell_id, NodeType.CELL, value, attrs))
             out.cell_ids.append(cell_id)
-            frag.add_edge(cell_id, RelationType.SRC, cell_id, _prov_attrs(prov))
+            frag.add_edge(cell_id, RelationType.SRC, cell_id, prov_attrs(prov))
             if row_path in row_header_id:
                 frag.add_edge(cell_id, RelationType.ROW_BIND, row_header_id[row_path])
             if col_path in col_header_id:
@@ -527,7 +523,7 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
         if marker not in predicate_id:
             index = [m for m, _ in table.footnotes].index(marker)
             node_id = f"{base}:p{index}"
-            attrs = _prov_attrs(prov)
+            attrs = prov_attrs(prov)
             attrs["marker"] = marker
             frag.add_node(
                 Node(node_id, NodeType.PREDICATE, footnote_text[marker], attrs)

@@ -360,10 +360,12 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         blobs[name] = (src / name).read_bytes()
         if _sha256(blobs[name]) != expected:
             raise ChecksumError(f"bundle member {name} does not match its checksum")
-    graph = load_graph(blobs["nodes.jsonl"], blobs["edges.jsonl"])
-    index = _index_from_json(_json(blobs["index.json"]))
-    vectors = load_vectors(blobs["vectors.json"], blobs["vectors.bin"])
-    alignment = load_alignment(blobs["align.json"]) if cfg.align else None
+    # each member's bytes are dropped once decoded, so that no two copies
+    # of the graph are held at once
+    graph = load_graph(blobs.pop("nodes.jsonl"), blobs.pop("edges.jsonl"))
+    index = _index_from_json(_json(blobs.pop("index.json")))
+    vectors = load_vectors(blobs.pop("vectors.json"), blobs.pop("vectors.bin"))
+    alignment = load_alignment(blobs.pop("align.json")) if cfg.align else None
     return Bundle(
         path=src,
         graph=graph,

@@ -581,6 +581,54 @@ def test_gazetteer_file_that_is_not_utf8_is_user_error(tmp_path, env):
     assert "error: 'utf-8' codec can't decode" in result.output
 
 
+@pytest.mark.parametrize(
+    "gazetteer, message",
+    [
+        ("5", ": gazetteer.json is not a JSON array of strings"),
+        ('{"a": 1}', ": gazetteer.json is not a JSON array of strings"),
+        ('["HARQ", 1]', "/1: gazetteer.json term 1 is not a string"),
+    ],
+    ids=["number", "object", "array-with-a-number"],
+)
+def test_corpus_gazetteer_that_is_not_an_array_of_strings_is_user_error(
+    tmp_path, env, capsys, gazetteer, message
+):
+    src = _corpus_dir(tmp_path)
+    (src / "gazetteer.json").write_text(gazetteer)
+    out = tmp_path / "out"
+    code, err = _main(env, capsys, "index", str(src), "--out", str(out))
+    assert code == EXIT_USER_ERROR, err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_stats_on_a_macro_node_without_int_tokens_used_is_user_error(tmp_path, env, capsys):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    lines = [json.loads(line) for line in (out / "nodes.jsonl").read_bytes().splitlines()]
+    macro = next(obj for obj in lines if obj["type"] == NodeType.MACRO_NODE.value)
+    del macro["attrs"]["tokens_used"]
+    rewrite_member(out, "nodes.jsonl", b"".join(canonical_json_bytes(obj) + b"\n" for obj in lines))
+    assert runner.invoke(cli, ["query", str(out), QUESTION]).exit_code == 0
+    code, err = _main(env, capsys, "stats", str(out))
+    assert code == EXIT_USER_ERROR, err
+    assert err.startswith(f"error: /{macro['id']}/attrs/tokens_used: macro node {macro['id']!r}")
+
+
+def test_graph_line_holding_two_records_is_user_error(tmp_path, env, capsys):
+    out = tmp_path / "bundle"
+    runner = CliRunner()
+    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    first, second, *rest = (out / "edges.jsonl").read_bytes().splitlines()
+    rewrite_member(out, "edges.jsonl", b"\n".join([first + b"," + second, *rest]) + b"\n")
+    code, err = _main(env, capsys, "stats", str(out))
+    assert code == EXIT_USER_ERROR, err
+    assert err.startswith("error: Extra data: line 1 column")
+
+
 def _write_goldens() -> None:
     import tempfile
 

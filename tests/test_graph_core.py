@@ -1,11 +1,13 @@
 """Typed multigraph: identity rules, merging, traversal, and persistence."""
 
+import json
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph
-from semrag.errors import ChecksumError, EmptyAnchors, IdCollisionError
+from semrag.errors import ChecksumError, EmptyAnchors, IdCollisionError, SchemaError
 from semrag.graph_core import (
     Edge,
     GraphFragment,
@@ -313,3 +315,85 @@ def test_graphs_equal_detects_attr_difference():
     assert graphs_equal(a, b)
     b.nodes["n0"].attrs["extra"] = 1
     assert not graphs_equal(a, b)
+
+
+def test_loaded_graph_keeps_one_object_per_node_id_and_provenance(tmp_path):
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    g = load_bundle(tmp_path).graph
+    keys = {node_id: node_id for node_id in g.nodes}
+    for edge in g.edges.values():
+        assert edge.src is keys[edge.src] and edge.dst is keys[edge.dst]
+    shared: dict[str, list[dict]] = {}
+    for item in [*g.nodes.values(), *g.edges.values()]:
+        if "prov" in item.attrs:
+            shared.setdefault(repr(item.attrs["prov"]), []).append(item.attrs["prov"])
+    assert max(len(provs) for provs in shared.values()) > 1
+    for provs in shared.values():
+        assert all(prov is provs[0] for prov in provs)
+
+
+def test_load_keeps_provenance_apart_that_only_compares_equal():
+    g = make_graph(4, [(0, 1), (2, 3)])
+    for nid, page in zip(sorted(g.nodes), (1, 1.0, True, 1)):
+        g.nodes[nid].attrs["prov"] = {"page": page, "bbox": [0.0, -0.0]}
+    blobs = save_graph(g)
+    back = load_graph(*blobs)
+    assert save_graph(back) == blobs
+    provs = [back.nodes[nid].attrs["prov"] for nid in sorted(back.nodes)]
+    assert provs[0] is provs[3]
+    assert len({id(prov) for prov in provs}) == 3
+
+
+def _lines(blob: bytes) -> list[bytes]:
+    return blob.split(b"\n")[:-1]
+
+
+def _with_lines(lines: list[bytes]) -> bytes:
+    return b"".join(line + b"\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "edits, path",
+    [
+        ({1025: b'{"attrs":{},"id":"x","text":7,"type":"Paragraph"}'}, "/1025/text"),
+        ({1025: b"[1]"}, "/1025"),
+        ({1025: b'{"id":"x"}', 1030: b"{not json"}, "/1025/type"),
+    ],
+    ids=["text-int", "not-an-object", "before-a-line-that-does-not-parse"],
+)
+def test_load_reports_the_line_of_a_bad_record_in_a_later_chunk(edits, path):
+    g = make_graph(1100, [(0, 1)])
+    nodes_blob, edges_blob = save_graph(g)
+    lines = _lines(nodes_blob)
+    for number, line in edits.items():
+        lines[number - 1] = line
+    with pytest.raises(SchemaError) as raised:
+        load_graph(_with_lines(lines), edges_blob)
+    assert raised.value.path == path
+
+
+def test_load_rejects_a_line_holding_two_records():
+    nodes_blob, edges_blob = save_graph(make_graph(3, [(0, 1)]))
+    first, second, third = _lines(nodes_blob)
+    with pytest.raises(json.JSONDecodeError, match="Extra data"):
+        load_graph(_with_lines([first, second + b"," + third]), edges_blob)
+
+
+def test_load_skips_blank_lines_between_records():
+    g, _, _ = random_graph(6, n_max=15, allow_loops=True)
+    nodes_blob, edges_blob = save_graph(g)
+    spaced = [
+        b"\n \n\t\n".join(_lines(blob)) + b"\n\n" for blob in (nodes_blob, edges_blob)
+    ]
+    assert save_graph(load_graph(*spaced)) == (nodes_blob, edges_blob)
+
+
+@pytest.mark.parametrize("n_docs", [3, 60])
+def test_load_then_save_gives_the_bundles_bytes(tmp_path, n_docs):
+    corpus = synthetic_corpus(n_docs=n_docs, seed=0)
+    build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    blobs = ((tmp_path / "nodes.jsonl").read_bytes(), (tmp_path / "edges.jsonl").read_bytes())
+    if n_docs == 60:  # several parse chunks
+        assert len(_lines(blobs[1])) > 2 * 1024
+    assert save_graph(load_graph(*blobs)) == blobs
