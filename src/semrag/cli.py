@@ -36,10 +36,9 @@ from .errors import (
     SummarizerError,
     UnsupportedConstructError,
 )
-from .graph_core import NodeType, save_graph
+from .graph_core import NodeType
 from .pipeline import Bundle, PipelineConfig, build_bundle, load_bundle, make_engine
 from .query_engine import Route
-from .sem_index import base_projection, h1, h2
 
 logger = logging.getLogger(__name__)
 
@@ -251,19 +250,19 @@ def cmd_query(bundle_dir, question, row, col, given, route_name, as_json, k):
 def cmd_stats(bundle_dir, as_json):
     """Entropy, community, merge-trace and indexing-token statistics.
 
+    The entropies are the h1 and h2 that index.json records, taken when
+    the graph was indexed, before its macro nodes were attached.
     index_tokens is what summarizing the communities cost: the tokens_used
     recorded on the macro nodes.
     """
     bundle = _load(bundle_dir)
-    base = base_projection(bundle.graph)
     node_counts: dict[str, int] = {}
     for node in bundle.graph.nodes.values():
         node_counts[node.type.value] = node_counts.get(node.type.value, 0) + 1
     edge_counts: dict[str, int] = {}
     for edge in bundle.graph.edges.values():
         edge_counts[edge.rel.value] = edge_counts.get(edge.rel.value, 0) + 1
-    flat = h1(base)
-    partitioned = h2(base, bundle.index.partition)
+    flat, partitioned = bundle.index.h1, bundle.index.h2
     histogram: dict[int, int] = {}
     for members in bundle.index.communities.values():
         histogram[len(members)] = histogram.get(len(members), 0) + 1
@@ -318,14 +317,14 @@ def cmd_stats(bundle_dir, as_json):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_guard
 def cmd_export_graph(bundle_dir, out_dir):
-    """Dump a bundle's graph as nodes.jsonl and edges.jsonl, the bytes the
-    bundle holds."""
+    """Copy a bundle's graph members, nodes.jsonl and edges.jsonl, byte for
+    byte, once the bundle has opened: every member matches its checksum
+    and the graph decodes."""
     bundle = _load(bundle_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nodes_blob, edges_blob = save_graph(bundle.graph)
-    (out / "nodes.jsonl").write_bytes(nodes_blob)
-    (out / "edges.jsonl").write_bytes(edges_blob)
+    for name in ("nodes.jsonl", "edges.jsonl"):
+        (out / name).write_bytes((bundle.path / name).read_bytes())
     click.echo(
         f"graph exported to {out}: "
         f"{len(bundle.graph.nodes)} nodes, {len(bundle.graph.edges)} edges"

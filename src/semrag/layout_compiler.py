@@ -442,7 +442,9 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
     Node counts are fully determined: one RowHeader per distinct row path,
     one ColHeader per distinct column path, one Cell per non-empty data
     cell, and one Predicate per footnote referenced by at least one cell.
-    Each Cell carries a Src self-loop with the table's provenance.
+    A Cell's attrs hold its value, unit, header paths and footnote markers
+    beside the table's provenance (release tag included, under "prov"
+    only), and each Cell carries a Src self-loop with that provenance.
     """
     frag = GraphFragment()
     grid = expand_grid(table)
@@ -506,8 +508,6 @@ def compile_table(doc_id: str, table: TableBlock) -> TableSubgraph:
                     "markers": list(spec.footnote_markers),
                 }
             )
-            if prov.release_tag is not None:
-                attrs["release_tag"] = prov.release_tag
             frag.add_node(Node(cell_id, NodeType.CELL, value, attrs))
             out.cell_ids.append(cell_id)
             frag.add_edge(cell_id, RelationType.SRC, cell_id, prov_attrs(prov))

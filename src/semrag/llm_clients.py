@@ -14,7 +14,9 @@ answering testable without a model. The offline summarizer is extractive:
 the first sentence of the first line that has sentence punctuation, under
 a whitespace token budget.
 
-A TokenLedger records token counts and wall time per generation call.
+A TokenLedger records token counts and wall time per generation call of
+the clients given one. Clients made without a ledger record nothing, so
+answering questions holds no memory per call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
 
@@ -251,7 +253,7 @@ class HttpLlmClient:
 @dataclass
 class Clients:
     llm: LlmClient
-    ledger: TokenLedger = field(default_factory=TokenLedger)
+    ledger: Optional[TokenLedger] = None
 
 
 def make_clients(
@@ -261,9 +263,9 @@ def make_clients(
 
     SEMRAG_OFFLINE=1 forces the offline client regardless of the endpoint;
     an explicit `offline` argument overrides everything. Asking for the
-    remote client with no endpoint set raises MissingEndpoint.
+    remote client with no endpoint set raises MissingEndpoint. The client
+    records its generation calls in `ledger` when one is given.
     """
-    ledger = ledger if ledger is not None else TokenLedger()
     llm_endpoint = os.environ.get(ENV_LLM_ENDPOINT)
     if offline is None:
         offline = os.environ.get(ENV_OFFLINE) == "1" or not llm_endpoint

@@ -35,9 +35,11 @@ from .doc_model import (
 )
 from .errors import ChecksumError, FormatVersionError, SchemaError
 from .formula_compiler import Var, compile_formula, link_symbol_definitions
-from .graph_core import RelationType, TypedGraph, load_graph, merge_units, save_graph
+from .graph_core import (
+    NodeType, RelationType, TypedGraph, load_graph, merge_units, save_graph
+)
 from .layout_compiler import Gazetteer, compile_table, compile_text
-from .llm_clients import Clients, make_clients, summarize_with
+from .llm_clients import Clients, TokenLedger, make_clients, summarize_with
 from .query_engine import QueryEngine, RetrievalConfig, index_vectors
 from .sem_index import Merge, MinimizeResult, materialize_macronodes, sem_minimize
 from .vector_align import (
@@ -181,14 +183,23 @@ def _merge(step) -> Merge:
     return Merge(*step)
 
 
-def _index_from_json(obj) -> MinimizeResult:
-    """The index index.json records; a key that is missing or of the wrong
-    type raises SchemaError."""
+def _index_from_json(obj, graph: TypedGraph) -> MinimizeResult:
+    """The index index.json records over the graph; a key that is missing
+    or of the wrong type, or a partition that does not name exactly the
+    graph's non-macro nodes, raises SchemaError."""
     if not isinstance(obj, dict):
         raise SchemaError("", "index.json is not a JSON object")
     partition = _field(obj, "partition", (dict,))
     if not all(isinstance(v, str) for v in partition.values()):
         raise SchemaError("/partition", "index.json maps a node to no community key")
+    nodes = {nid for nid, n in graph.nodes.items() if n.type is not NodeType.MACRO_NODE}
+    if partition.keys() != nodes:
+        raise SchemaError(
+            "/partition",
+            "index.json partition does not name the graph's nodes exactly (missing "
+            f"{sorted(nodes - partition.keys())[:3]}, unknown "
+            f"{sorted(partition.keys() - nodes)[:3]})",
+        )
     return MinimizeResult(
         partition=partition,
         dendrogram=[_merge(step) for step in _field(obj, "dendrogram", (list,))],
@@ -275,7 +286,7 @@ def build_bundle(
     refused with an OSError.
     """
     cfg = config or PipelineConfig()
-    clients = clients or make_clients(offline=cfg.offline)
+    clients = clients or make_clients(offline=cfg.offline, ledger=TokenLedger())
     out = Path(out_dir)
     with _landing(out) as new:
         graph = compile_corpus(docs, gazetteer)
@@ -309,7 +320,8 @@ def build_bundle(
             "checksums": {name: _sha256(members[name]) for name in _members(cfg)},
         }
         (new / "manifest.json").write_bytes(canonical_json_bytes(manifest) + b"\n")
-        clients.ledger.to_csv(new / "token_ledger.csv")
+        # clients without a ledger recorded no call: a header-only file
+        (clients.ledger or TokenLedger()).to_csv(new / "token_ledger.csv")
     return Bundle(
         path=out,
         graph=graph,
@@ -328,7 +340,9 @@ def _summary_tuple(clients: Clients, text: str, budget: int) -> tuple[str, int]:
 
 def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     """Open a bundle: each member is read once, checked against its
-    manifest checksum, and decoded from the bytes that were checked."""
+    manifest checksum, and decoded from the bytes that were checked.
+    Clients made for it keep no token ledger, so that answering from it
+    holds no memory per question."""
     src = Path(path)
     manifest = _json((src / "manifest.json").read_bytes())
     if not isinstance(manifest, dict):
@@ -363,7 +377,7 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     # each member's bytes are dropped once decoded, so that no two copies
     # of the graph are held at once
     graph = load_graph(blobs.pop("nodes.jsonl"), blobs.pop("edges.jsonl"))
-    index = _index_from_json(_json(blobs.pop("index.json")))
+    index = _index_from_json(_json(blobs.pop("index.json")), graph)
     vectors = load_vectors(blobs.pop("vectors.json"), blobs.pop("vectors.bin"))
     alignment = load_alignment(blobs.pop("align.json")) if cfg.align else None
     return Bundle(

@@ -83,6 +83,9 @@ EXPAND_RELATIONS = frozenset(
 )
 
 HIT_ENTROPY_TOP = 10
+ANCHOR_HITS = 3  # top vector hits offered as med-route anchors
+MAX_ANCHORS = 4  # med-route anchors, gazetteer terms first
+MACRO_LIMIT = 5  # community summaries the high route returns
 SCORE_SCALE = 1.0 / math.sqrt(2.0)  # see QueryEngine.embed_query
 SYMBOLIC_PATTERN = re.compile(
     r"[=^_\\/]|\b(?:log2?|sum|frac)\b|\d+\s*(?:dB|dBm|GHz|MHz|ms)\b"
@@ -94,9 +97,6 @@ ACRONYM_PATTERN = re.compile(r"\b[A-Z][A-Z0-9]+\b")
 class RetrievalConfig:
     budget: int = 5
     khop: int = 3
-    anchor_hits: int = 3
-    max_anchors: int = 4
-    macro_limit: int = 5
 
 
 def retrieval_text(g: TypedGraph, node_id: str) -> str:
@@ -162,12 +162,17 @@ class EvidenceRecord:
         }
 
 
+def _macro_members(g: TypedGraph, node_id: str) -> list[str]:
+    """The nodes a macro node summarizes: its MemberOf in-edges' sources."""
+    return [
+        g.edges[eid].src
+        for eid in g.in_edges[node_id]
+        if g.edges[eid].rel == RelationType.MEMBER_OF
+    ]
+
+
 def _macro_representative(g: TypedGraph, node_id: str) -> Optional[dict]:
-    members = g.nodes[node_id].attrs.get("members", [])
-    ranked = sorted(
-        (m for m in members if m in g.nodes),
-        key=lambda m: (-g.degree(m), m),
-    )
+    ranked = sorted(_macro_members(g, node_id), key=lambda m: (-g.degree(m), m))
     for member in ranked:
         prov = g.nodes[member].attrs.get("prov")
         if prov:
@@ -217,8 +222,7 @@ def _statement_fields(
         return label or "the expression", "is computed as", expr, None
     if node.type == NodeType.MACRO_NODE:
         key = node.attrs.get("community", node_id)
-        size = node.attrs.get("size", 0)
-        summary = node.text or f"a community of {size} nodes"
+        summary = node.text or f"a community of {len(_macro_members(g, node_id))} nodes"
         return f"community {key}", "summarizes", summary, None
     raise DanglingNode(
         f"node {node_id!r} of type {node.type.value} has no statement form"
@@ -561,16 +565,16 @@ class QueryEngine:
         ]
 
     def _anchors(self, q: _Question) -> list[str]:
-        anchors = sorted(q.terms)[: self.config.max_anchors]
-        if len(anchors) < self.config.max_anchors:
+        anchors = sorted(q.terms)[:MAX_ANCHORS]
+        if len(anchors) < MAX_ANCHORS:
             try:
-                hits = self._rank(q.scores, self.config.anchor_hits)
+                hits = self._rank(q.scores, ANCHOR_HITS)
             except EmptyIndex:
                 hits = []
             for nid, _ in hits:
                 if nid not in anchors:
                     anchors.append(nid)
-                if len(anchors) >= self.config.max_anchors:
+                if len(anchors) >= MAX_ANCHORS:
                     break
         return anchors
 
@@ -612,7 +616,7 @@ class QueryEngine:
                 "summary retrieval requires community summaries in the vector "
                 "index; rebuild the bundle"
             )
-        hits = self._rank(q.scores, self.config.macro_limit, types=macro)
+        hits = self._rank(q.scores, MACRO_LIMIT, types=macro)
         return [
             evidence_record(self.g, nid, score, Route.HIGH) for nid, score in hits
         ]

@@ -7,7 +7,9 @@ dissolution then improves its partition. The second run merges again from
 singletons, only inside the refined communities: its strictly improving
 merges are the dendrogram, and its endpoint, which may split a refined
 community, is the result. materialize_macronodes attaches one summary
-node per final community, the index's one level above the nodes.
+node per final community, the index's one level above the nodes; its
+members are the sources of its membership edges, which it does not list
+again. A MinimizeResult's h1 and h2 are taken before macros are attached.
 
 Nothing is applied just to price it. A merge is priced from the two
 communities' volumes, cuts and edge multiplicity, which the merge loop
@@ -53,28 +55,6 @@ def shannon(probabilities: Iterable[float]) -> float:
     if abs(total - 1.0) > PROB_TOLERANCE:
         raise NotADistribution(f"probabilities sum to {total}, expected 1")
     return -sum(p * math.log2(p) for p in ps if p > 0)
-
-
-# --- base projection --------------------------------------------------------
-
-def base_projection(g: TypedGraph) -> TypedGraph:
-    """Copy of the graph without macro nodes and membership edges.
-
-    All entropy statistics are defined on this projection so that attaching
-    summaries never changes what the index measures.
-    """
-    out = TypedGraph()
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.type != NodeType.MACRO_NODE:
-            out.add_node(node)
-    for eid in sorted(g.edges):
-        edge = g.edges[eid]
-        if edge.rel == RelationType.MEMBER_OF:
-            continue
-        if edge.src in out.nodes and edge.dst in out.nodes:
-            out.add_edge(edge)
-    return out
 
 
 # --- flat and two-level entropy ---------------------------------------------
@@ -672,12 +652,12 @@ def materialize_macronodes(
 ) -> list[str]:
     """Attach one summary node per community to a graph that holds none yet.
 
-    Each macro node's id is derived from its community key. Members point
-    at their macro with membership edges; those edges and the macro nodes
-    themselves are invisible to the entropy statistics via base_projection.
-    A node belongs to one community, so no membership edge is attached
-    before its community's text is read, and members rank by the degrees
-    the index was built on.
+    Each macro node's id is derived from its community key, and its attrs
+    hold that key and the tokens its summary used. Members point at their
+    macro with membership edges, the one record of who the members are
+    and how many. A node belongs to one community, so no membership edge
+    is attached before its community's text is read, and members rank by
+    the degrees the index was built on.
     """
     macro_ids = []
     for key in sorted(index.communities):
@@ -693,12 +673,7 @@ def materialize_macronodes(
                 macro_id,
                 NodeType.MACRO_NODE,
                 summary,
-                {
-                    "community": key,
-                    "members": list(members),
-                    "size": len(members),
-                    "tokens_used": tokens_used,
-                },
+                {"community": key, "tokens_used": tokens_used},
             )
         )
         for nid in members:

@@ -45,21 +45,21 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def hash_counts(text: str, dim: int = EMBED_DIM) -> np.ndarray:
+def hash_counts(text: str) -> np.ndarray:
     """Signed bag-of-words bucket counts: each token adds +1 or -1 to one
-    of dim buckets, both chosen by its sha256 digest."""
-    counts = np.zeros(dim, dtype=np.int64)
+    of EMBED_DIM buckets, both chosen by its sha256 digest."""
+    counts = np.zeros(EMBED_DIM, dtype=np.int64)
     for token in tokenize(text):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:4], "big") % dim
+        bucket = int.from_bytes(digest[:4], "big") % EMBED_DIM
         counts[bucket] += 1 if digest[4] & 1 else -1
     return counts
 
 
-def embed_text(text: str, dim: int = EMBED_DIM) -> np.ndarray:
+def embed_text(text: str) -> np.ndarray:
     """Signed bag-of-words hash embedding: hash_counts scaled to unit
     length (zero text stays zero)."""
-    vec = hash_counts(text, dim).astype(np.float64)
+    vec = hash_counts(text).astype(np.float64)
     norm = float(np.linalg.norm(vec))
     return vec / norm if norm > 0 else vec
 

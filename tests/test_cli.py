@@ -446,6 +446,48 @@ def test_stats_reports_what_indexing_paid(tmp_path, env):
     assert paid <= stats["communities"] * bundle.config.summary_budget_tokens
 
 
+def test_stats_reports_the_entropies_index_json_records(smoke_bundle, env):
+    index = json.loads((smoke_bundle / "index.json").read_bytes())
+    result = CliRunner().invoke(cli, ["stats", str(smoke_bundle), "--json"])
+    assert result.exit_code == 0, result.output
+    stats = json.loads(result.output)
+    assert stats["flat_entropy_bits"] == round(index["h1"], 9)
+    assert stats["partition_entropy_bits"] == round(index["h2"], 9)
+    # read, not computed again from the graph
+    index.update(h1=7.0123456789, h2=3.25)
+    rewrite_member(smoke_bundle, "index.json", canonical_json_bytes(index) + b"\n")
+    stats = json.loads(CliRunner().invoke(cli, ["stats", str(smoke_bundle), "--json"]).output)
+    assert (stats["flat_entropy_bits"], stats["partition_entropy_bits"]) == (7.012345679, 3.25)
+
+
+def _drop_first_node(partition: dict) -> None:
+    del partition[min(partition)]
+
+
+@pytest.mark.parametrize(
+    "edit, listed",
+    [
+        (_drop_first_node, "missing ['SD00:e1:k1'], unknown []"),
+        (lambda partition: partition.update(nope="nope"), "missing [], unknown ['nope']"),
+    ],
+    ids=["node-missing", "unknown-id"],
+)
+@pytest.mark.parametrize("command", ["stats", "query"])
+def test_partition_that_does_not_name_the_graphs_nodes_is_user_error(
+    smoke_bundle, env, capsys, edit, listed, command
+):
+    index = json.loads((smoke_bundle / "index.json").read_bytes())
+    edit(index["partition"])
+    rewrite_member(smoke_bundle, "index.json", canonical_json_bytes(index) + b"\n")
+    args = [command, str(smoke_bundle)] + ([QUESTION] if command == "query" else [])
+    code, err = _main(env, capsys, *args)
+    assert code == EXIT_USER_ERROR, err
+    assert err == (
+        "error: /partition: index.json partition does not name the graph's "
+        f"nodes exactly ({listed})\n"
+    )
+
+
 def _edit_manifest_config(out: Path, edit) -> None:
     path = out / "manifest.json"
     manifest = json.loads(path.read_text("utf-8"))

@@ -66,9 +66,10 @@ def graph() -> TypedGraph:
              {"expr": "P = min(Pmax, P0 + alpha)", "prov": _prov("5.3")})
     )
     g.add_node(
-        Node("c7", NodeType.MACRO_NODE, "Timers and retries.",
-             {"community": "c7", "size": 2, "members": ["TS01:p1", "TS01:t1:cell0_0"]})
+        Node("c7", NodeType.MACRO_NODE, "Timers and retries.", {"community": "c7"})
     )
+    for member in ("TS01:p1", "TS01:t1:cell0_0"):
+        _link(g, member, RelationType.MEMBER_OF, "c7")
     return g
 
 
@@ -88,6 +89,22 @@ def test_offline_answer_is_the_first_records_object_and_clause(graph, form):
     assert (record.object, record.clause) == (obj, clause)
     answer = OfflineLlmClient().generate(build_prompt(QUESTION, [record]))
     assert answer == f"{obj} (clause {clause})"
+
+
+def test_a_macro_without_a_summary_reads_its_members_off_member_of_edges():
+    """The statement counts the macro's MemberOf sources, and its provenance
+    is the highest-degree member's."""
+    g = TypedGraph()
+    g.add_node(Node("TS01:s1", NodeType.SECTION, "Retransmission", {"prov": _prov("5")}))
+    for nid, clause in (("TS01:p1", "5.1"), ("TS01:p2", "5.4")):
+        g.add_node(Node(nid, NodeType.PARAGRAPH, "text", {"prov": _prov(clause)}))
+    g.add_node(Node("c9", NodeType.MACRO_NODE, "", {"community": "c9"}))
+    _link(g, "TS01:s1", RelationType.CONTAINS, "TS01:p2")
+    for member in ("TS01:p1", "TS01:p2"):
+        _link(g, member, RelationType.MEMBER_OF, "c9")
+    record = evidence_record(g, "c9", 0.5, Route.HIGH)
+    assert (record.object, record.clause) == ("a community of 2 nodes", "c9")
+    assert record.provenance == _prov("5.4")
 
 
 def test_offline_answer_carries_the_guard_and_reads_only_the_first_record(graph):

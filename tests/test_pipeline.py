@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -115,6 +116,61 @@ def test_load_reads_each_member_once(tmp_path, monkeypatch):
         monkeypatch.setattr(Path, method, counting)
     load_bundle(tmp_path)
     assert reads == Counter({name: 1 for name in ALIGNED_MEMBERS + ["manifest.json"]})
+
+
+def _jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_bytes().splitlines()]
+
+
+def test_bundle_records_membership_and_release_tags_once(tmp_path):
+    """A macro node's members are its MemberOf sources alone, which are its
+    community in index.json; a cell's release tag sits in its provenance
+    alone."""
+    build(tmp_path)
+    nodes = _jsonl(tmp_path / "nodes.jsonl")
+    partition = json.loads((tmp_path / "index.json").read_bytes())["partition"]
+    communities: dict[str, set[str]] = {}
+    for nid, key in partition.items():
+        communities.setdefault(key, set()).add(nid)
+    member_of: dict[str, set[str]] = {}
+    for edge in _jsonl(tmp_path / "edges.jsonl"):
+        if edge["rel"] == "MemberOf":
+            member_of.setdefault(edge["dst"], set()).add(edge["src"])
+    macros = [node for node in nodes if node["type"] == "MacroNode"]
+    assert len(macros) == len(communities) == 27
+    assert set(member_of) == {node["id"] for node in macros}
+    for node in macros:
+        assert sorted(node["attrs"]) == ["community", "tokens_used"]
+        assert member_of[node["id"]] == communities[node["attrs"]["community"]]
+    cells = [node for node in nodes if node["type"] == "Cell"]
+    assert cells
+    for node in cells:
+        assert "release_tag" not in node["attrs"]
+        assert node["attrs"]["prov"]["release_tag"] == "Rel-17"
+
+
+def test_answering_from_an_opened_bundle_keeps_nothing_per_question(tmp_path):
+    corpus = build(tmp_path)
+    bundle = load_bundle(tmp_path)
+    engine = make_engine(bundle)
+
+    def ask(rounds: int) -> None:
+        for _ in range(rounds):
+            for query in corpus.gold:
+                engine.answer(query.question, bundle.clients.llm)
+
+    ask(1)  # whatever the first answers cache stays cached
+    tracemalloc.start()
+    try:
+        ask(1)
+        before = tracemalloc.get_traced_memory()[0]
+        ask(10)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a ledger row per answer would hold over 100 bytes each
+    assert grown < 10 * 10 * len(corpus.gold), grown
+    assert bundle.clients.ledger is None
 
 
 def _snapshot(directory: Path) -> dict[str, bytes]:

@@ -85,7 +85,7 @@ def test_answer_reports_retrieval_and_generation_time(built):
 
 def test_retrieval_config_has_only_read_fields():
     names = [f.name for f in dataclasses.fields(RetrievalConfig)]
-    assert names == ["budget", "khop", "anchor_hits", "max_anchors", "macro_limit"]
+    assert names == ["budget", "khop"]
 
 
 def test_vectors_must_cover_the_indexable_nodes(built):

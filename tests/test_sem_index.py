@@ -47,7 +47,6 @@ from semrag.sem_index import (
     _fold_rows,
     _greedy_merge,
     _refine,
-    base_projection,
     delta_h2_merge,
     h1,
     h2,
@@ -639,16 +638,6 @@ def test_materialize_twice_replaces_instead_of_duplicating():
     assert first == second
     macros = [n for n in g.nodes_of_type(NodeType.MACRO_NODE)]
     assert len(macros) == len(result.communities)
-
-
-def test_base_projection_hides_macros_from_entropy():
-    g = _lettered_graph()
-    before = h1(g)
-    result = sem_minimize(g)
-    materialize_macronodes(g, result, offline_summarizer())
-    base = base_projection(g)
-    assert h1(base) == pytest.approx(before, abs=1e-12)
-    assert not list(base.nodes_of_type(NodeType.MACRO_NODE))
 
 
 def test_membership_edges_connect_members_to_their_macro():
