@@ -260,7 +260,7 @@ def cmd_stats(bundle_dir, as_json):
     for node in bundle.graph.nodes.values():
         node_counts[node.type.value] = node_counts.get(node.type.value, 0) + 1
     edge_counts: dict[str, int] = {}
-    for edge in bundle.graph.edges.values():
+    for edge in bundle.graph.edges:
         edge_counts[edge.rel.value] = edge_counts.get(edge.rel.value, 0) + 1
     flat, partitioned = bundle.index.h1, bundle.index.h2
     histogram: dict[int, int] = {}

@@ -74,7 +74,8 @@ class NotAnOperator(SemragError):
 # --- graph core -------------------------------------------------------------
 
 class IdCollisionError(SemragError):
-    """Two distinct payloads claim the same node or edge id."""
+    """Two distinct payloads claim the same node id, or the same edge of
+    fragments being merged."""
 
 
 class EmptyAnchors(SemragError):

@@ -8,8 +8,10 @@ form for degrees, volumes, and K-hop traversal.
 
 Node ids are namespaced by document ("{doc}:{block}" and suffixes); unified
 terms live under the corpus-wide "term:{key}" namespace; macro nodes under
-"macro:{community}". Persistence is two JSONL byte streams, nodes and
-edges, see save_graph/load_graph; where they are stored and how they are
+"macro:{community}". An edge has no id: it is its (src, rel, dst), and
+parallel edges, which the formula compiler emits, are kept in the order
+they were added. Persistence is two JSONL byte streams, nodes and edges,
+see save_graph/load_graph; where they are stored and how they are
 checked is the bundle's business (pipeline). A loaded graph keeps one
 string per node id, shared by its nodes and edges, and one dict per
 distinct provenance, shared by the nodes and edges that carry it; its
@@ -68,7 +70,6 @@ class Node:
 
 @dataclass(slots=True)
 class Edge:
-    id: str
     src: str
     dst: str
     rel: RelationType
@@ -80,19 +81,15 @@ def prov_attrs(prov: Provenance) -> dict:
     return {"prov": prov.to_json()}
 
 
-def edge_id(src: str, rel: RelationType, dst: str, k: int = 0) -> str:
-    return f"{src}|{rel.value}|{dst}#{k}"
-
-
 @dataclass
 class GraphFragment:
     """Nodes and edges emitted by one compiler pass, pre-merge."""
 
     nodes: list[Node] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
-    # edges added so far per (src, rel, dst); the next one's id suffix
-    _counts: dict[tuple[str, RelationType, str], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    # the (src, rel, dst) of every edge added so far
+    _keys: set[tuple[str, RelationType, str]] = field(
+        default_factory=set, init=False, repr=False, compare=False
     )
 
     def add_node(self, node: Node) -> Node:
@@ -100,14 +97,13 @@ class GraphFragment:
         return node
 
     def add_edge(self, src: str, rel: RelationType, dst: str, attrs: Optional[dict] = None) -> Edge:
-        k = self._counts.get((src, rel, dst), 0)
-        self._counts[(src, rel, dst)] = k + 1
-        edge = Edge(edge_id(src, rel, dst, k), src, dst, rel, attrs or {})
+        self._keys.add((src, rel, dst))
+        edge = Edge(src, dst, rel, attrs or {})
         self.edges.append(edge)
         return edge
 
     def has_edge(self, src: str, rel: RelationType, dst: str) -> bool:
-        return (src, rel, dst) in self._counts
+        return (src, rel, dst) in self._keys
 
 
 def normalize_term(surface: str) -> str:
@@ -129,13 +125,17 @@ def normalize_term(surface: str) -> str:
 
 
 class TypedGraph:
-    """Directed typed multigraph with per-node adjacency lists."""
+    """Directed typed multigraph with per-node adjacency lists.
+
+    ``edges`` lists every edge in the order it was added; ``out_edges`` and
+    ``in_edges`` list each node's edges, the same objects, in that order.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[str, Node] = {}
-        self.edges: dict[str, Edge] = {}
-        self.out_edges: dict[str, list[str]] = {}
-        self.in_edges: dict[str, list[str]] = {}
+        self.edges: list[Edge] = []
+        self.out_edges: dict[str, list[Edge]] = {}
+        self.in_edges: dict[str, list[Edge]] = {}
 
     def add_node(self, node: Node) -> None:
         existing = self.nodes.get(node.id)
@@ -156,31 +156,17 @@ class TypedGraph:
     def add_edge(self, edge: Edge) -> None:
         if edge.src not in self.nodes or edge.dst not in self.nodes:
             raise ValueError(
-                f"edge {edge.id!r} references missing endpoint "
-                f"({edge.src!r} -> {edge.dst!r})"
+                f"edge {edge.src!r} -{edge.rel.value}-> {edge.dst!r} "
+                "references a missing endpoint"
             )
-        existing = self.edges.get(edge.id)
-        if existing is not None:
-            if (existing.src, existing.dst, existing.rel, existing.attrs) != (
-                edge.src,
-                edge.dst,
-                edge.rel,
-                edge.attrs,
-            ):
-                raise IdCollisionError(
-                    f"edge id {edge.id!r} claimed by two distinct payloads"
-                )
-            return
-        self.edges[edge.id] = edge
-        self.out_edges[edge.src].append(edge.id)
-        self.in_edges[edge.dst].append(edge.id)
+        self.edges.append(edge)
+        self.out_edges[edge.src].append(edge)
+        self.in_edges[edge.dst].append(edge)
 
     def incident_edges(self, node_id: str) -> Iterable[Edge]:
         """All edges touching the node; a self-loop appears once."""
-        for eid in self.out_edges[node_id]:
-            yield self.edges[eid]
-        for eid in self.in_edges[node_id]:
-            edge = self.edges[eid]
+        yield from self.out_edges[node_id]
+        for edge in self.in_edges[node_id]:
             if edge.src != edge.dst:
                 yield edge
 
@@ -211,13 +197,17 @@ def merge_units(fragments: Iterable[GraphFragment]) -> TypedGraph:
     Term nodes sharing a normalized surface form collapse into a single
     corpus-level node "term:{key}" whose payload comes from the member with
     the smallest original id; all edges are redirected. The result is
-    independent of fragment order: everything is sorted before insertion.
+    independent of fragment order: everything is sorted before insertion,
+    edges by (src, rel, dst, k), where k numbers a fragment's parallel
+    edges in the order it added them.
+
+    Fragments repeat a node or an edge when a corpus holds a document
+    twice. A repeat with an equal payload is kept once; one with another
+    payload raises IdCollisionError. An edge repeats when its redirected
+    (src, rel, dst, k) does.
     """
-    all_nodes: list[Node] = []
-    all_edges: list[Edge] = []
-    for frag in fragments:
-        all_nodes.extend(frag.nodes)
-        all_edges.extend(frag.edges)
+    fragments = list(fragments)
+    all_nodes = [node for frag in fragments for node in frag.nodes]
 
     # group term nodes by unification key and pick a deterministic representative
     term_groups: dict[str, list[Node]] = {}
@@ -243,18 +233,25 @@ def merge_units(fragments: Iterable[GraphFragment]) -> TypedGraph:
     for node in sorted(merged_nodes, key=lambda n: n.id):
         graph.add_node(node)
 
-    rewritten: list[Edge] = []
-    for edge in all_edges:
-        src = redirect.get(edge.src, edge.src)
-        dst = redirect.get(edge.dst, edge.dst)
-        if src != edge.src or dst != edge.dst:
-            k = edge.id.rsplit("#", 1)[-1]
-            new_id = f"{src}|{edge.rel.value}|{dst}#{k}"
-            rewritten.append(Edge(new_id, src, dst, edge.rel, edge.attrs))
-        else:
-            rewritten.append(edge)
-    for edge in sorted(rewritten, key=lambda e: e.id):
-        graph.add_edge(edge)
+    merged: dict[tuple[str, str, str, int], Edge] = {}
+    for frag in fragments:
+        parallel: dict[tuple[str, RelationType, str], int] = {}
+        for edge in frag.edges:
+            k = parallel.get((edge.src, edge.rel, edge.dst), 0)
+            parallel[(edge.src, edge.rel, edge.dst)] = k + 1
+            src = redirect.get(edge.src, edge.src)
+            dst = redirect.get(edge.dst, edge.dst)
+            if src != edge.src or dst != edge.dst:
+                edge = Edge(src, dst, edge.rel, edge.attrs)
+            key = (src, edge.rel.value, dst, k)
+            existing = merged.setdefault(key, edge)
+            if existing.attrs != edge.attrs:
+                raise IdCollisionError(
+                    f"edge {src!r} -{edge.rel.value}-> {dst!r} #{k} "
+                    "claimed by two distinct payloads"
+                )
+    for key in sorted(merged):
+        graph.add_edge(merged[key])
     return graph
 
 
@@ -283,7 +280,7 @@ def khop_expand(
 
     Deterministic: each frontier is processed in ascending node id order and
     the node budget cuts the final frontier in that same order. Anchors not
-    in the graph are ignored. Only the members' own incident edges are
+    in the graph are ignored. Only the members' own adjacency lists are
     read, so the cost follows the ball, not the graph. `allowed` may be
     any collection of relations: it is read once into a tuple, and each
     edge's relation is compared against it by identity, never hashed.
@@ -292,7 +289,6 @@ def khop_expand(
     if not valid:
         raise EmptyAnchors("k-hop expansion requires at least one anchor node")
     allowed = tuple(allowed)
-    edges = g.edges
     hops: dict[str, int] = {a: 0 for a in valid}
     frontier = deque(valid)
     while frontier:
@@ -301,12 +297,10 @@ def khop_expand(
         if depth >= k:
             continue
         neighbors = set()
-        for eid in g.out_edges[current]:
-            edge = edges[eid]
+        for edge in g.out_edges[current]:
             if edge.rel in allowed and edge.dst not in hops:
                 neighbors.add(edge.dst)
-        for eid in g.in_edges[current]:
-            edge = edges[eid]
+        for edge in g.in_edges[current]:
             if edge.rel in allowed and edge.src not in hops:
                 neighbors.add(edge.src)
         for other in sorted(neighbors):
@@ -327,30 +321,26 @@ def _node_line(node: Node) -> bytes:
 
 def _edge_line(edge: Edge) -> bytes:
     return canonical_json_bytes(
-        {
-            "id": edge.id,
-            "src": edge.src,
-            "dst": edge.dst,
-            "rel": edge.rel.value,
-            "attrs": edge.attrs,
-        }
+        {"src": edge.src, "dst": edge.dst, "rel": edge.rel.value, "attrs": edge.attrs}
     )
 
 
 def save_graph(g: TypedGraph) -> tuple[bytes, bytes]:
     """The graph as two JSONL blobs, nodes then edges, each line canonical
-    JSON and each stream sorted by id, so equal graphs give equal bytes."""
+    JSON. Nodes are sorted by id and edges by (src, rel, dst), parallel
+    edges in the graph's order, so equal graphs give equal bytes."""
     nodes_blob = b"\n".join(_node_line(g.nodes[nid]) for nid in sorted(g.nodes))
     if g.nodes:
         nodes_blob += b"\n"
-    edges_blob = b"\n".join(_edge_line(g.edges[eid]) for eid in sorted(g.edges))
+    edges = sorted(g.edges, key=lambda e: (e.src, e.rel.value, e.dst))
+    edges_blob = b"\n".join(map(_edge_line, edges))
     if g.edges:
         edges_blob += b"\n"
     return nodes_blob, edges_blob
 
 
 _NODE_KEYS = {"id": str, "type": str, "text": str, "attrs": dict}
-_EDGE_KEYS = {"id": str, "src": str, "dst": str, "rel": str, "attrs": dict}
+_EDGE_KEYS = {"src": str, "dst": str, "rel": str, "attrs": dict}
 
 # lines parsed per json.loads call; json keeps one string per key within a call
 _CHUNK = 1024
@@ -401,9 +391,10 @@ _RELATION_TYPES = {rel.value: rel for rel in RelationType}
 
 
 def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
-    """The graph save_graph encoded as these two blobs. A line that is not
-    such a record, an edge to no node, or an id given two payloads raises
-    SchemaError.
+    """The graph save_graph encoded as these two blobs, its edges in line
+    order. A line that is not such a record, an edge to no node, or a node
+    id given two payloads raises SchemaError. Keys a line holds beyond its
+    record's are ignored, such as the ``id`` that edge lines once carried.
 
     The graph holds one object per distinct value where the encoding
     repeats it: an edge's src and dst are the id strings that key
@@ -438,18 +429,13 @@ def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
                 f"/{number}/rel", f"edges.jsonl holds an unknown rel {obj['rel']!r}"
             )
         src, dst = obj["src"], obj["dst"]
-        edge = Edge(obj["id"], ids.get(src, src), ids.get(dst, dst), rel, shared(obj["attrs"]))
+        edge = Edge(ids.get(src, src), ids.get(dst, dst), rel, shared(obj["attrs"]))
         try:
             graph.add_edge(edge)
-        except (ValueError, IdCollisionError) as exc:  # no such endpoint, or a reused id
+        except ValueError as exc:  # no such endpoint
             raise SchemaError(f"/{number}", f"edges.jsonl line {number}: {exc}") from None
     return graph
 
 
 def graphs_equal(a: TypedGraph, b: TypedGraph) -> bool:
-    return (
-        {k: (n.type, n.text, n.attrs) for k, n in a.nodes.items()}
-        == {k: (n.type, n.text, n.attrs) for k, n in b.nodes.items()}
-        and {k: (e.src, e.dst, e.rel, e.attrs) for k, e in a.edges.items()}
-        == {k: (e.src, e.dst, e.rel, e.attrs) for k, e in b.edges.items()}
-    )
+    return save_graph(a) == save_graph(b)

@@ -566,8 +566,7 @@ def cell_index(g: TypedGraph) -> CellIndex:
         if rel is None:
             continue
         cells = bound.setdefault((node.type, tuple(node.attrs.get("path", ()))), set())
-        for eid in g.in_edges[node.id]:
-            edge = g.edges[eid]
+        for edge in g.in_edges[node.id]:
             if edge.rel is rel:
                 cells.add(edge.src)
     return {key: frozenset(cells) for key, cells in bound.items()}
@@ -580,8 +579,7 @@ def cell_condition(
     not satisfied, in marker order and joined by "; "; None when no guard
     remains or every remaining guard's text is empty."""
     guards = []
-    for eid in g.in_edges[cell_id]:
-        edge = g.edges[eid]
+    for edge in g.in_edges[cell_id]:
         if edge.rel is RelationType.ACTIVATES:
             pred = g.nodes[edge.src]
             if pred.attrs.get("marker") not in satisfied:

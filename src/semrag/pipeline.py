@@ -284,9 +284,15 @@ def build_bundle(
     written into a fresh directory beside it, which is then renamed onto
     it. It may be absent, empty, or a bundle; any other directory is
     refused with an OSError.
+
+    Given clients are used and returned as they are. Otherwise the build
+    makes clients with a ledger for the ledger file, and returns clients
+    without one, as load_bundle does, so that answering from the returned
+    bundle holds no memory per question.
     """
     cfg = config or PipelineConfig()
-    clients = clients or make_clients(offline=cfg.offline, ledger=TokenLedger())
+    given = clients
+    clients = given or make_clients(offline=cfg.offline, ledger=TokenLedger())
     out = Path(out_dir)
     with _landing(out) as new:
         graph = compile_corpus(docs, gazetteer)
@@ -327,7 +333,7 @@ def build_bundle(
         graph=graph,
         index=index,
         config=cfg,
-        clients=clients,
+        clients=given or make_clients(offline=cfg.offline),
         vectors=(ids, counts),
         alignment=alignment,
     )

@@ -164,11 +164,7 @@ class EvidenceRecord:
 
 def _macro_members(g: TypedGraph, node_id: str) -> list[str]:
     """The nodes a macro node summarizes: its MemberOf in-edges' sources."""
-    return [
-        g.edges[eid].src
-        for eid in g.in_edges[node_id]
-        if g.edges[eid].rel == RelationType.MEMBER_OF
-    ]
+    return [e.src for e in g.in_edges[node_id] if e.rel == RelationType.MEMBER_OF]
 
 
 def _macro_representative(g: TypedGraph, node_id: str) -> Optional[dict]:
@@ -181,8 +177,7 @@ def _macro_representative(g: TypedGraph, node_id: str) -> Optional[dict]:
 
 
 def _enclosing_section_title(g: TypedGraph, node_id: str) -> Optional[str]:
-    for eid in g.in_edges[node_id]:
-        edge = g.edges[eid]
+    for edge in g.in_edges[node_id]:
         if edge.rel == RelationType.CONTAINS:
             parent = g.nodes[edge.src]
             if parent.type == NodeType.SECTION and parent.text:

@@ -38,7 +38,7 @@ from .errors import (
     NotADistribution,
     SummarizerError,
 )
-from .graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
+from .graph_core import Edge, Node, NodeType, RelationType, TypedGraph
 
 EPSILON = 1e-12
 PROB_TOLERANCE = 1e-9
@@ -64,7 +64,7 @@ def _degree_data(g: TypedGraph):
     deg: dict[str, int] = {nid: 0 for nid in g.nodes}
     loops: dict[str, int] = {nid: 0 for nid in g.nodes}
     adj: dict[str, dict[str, int]] = {nid: {} for nid in g.nodes}
-    for edge in g.edges.values():
+    for edge in g.edges:
         if edge.src == edge.dst:
             deg[edge.src] += 2
             loops[edge.src] += 1
@@ -113,7 +113,7 @@ def h2(g: TypedGraph, partition: dict[str, object]) -> float:
     for nid, label in partition.items():
         members.setdefault(label, []).append(nid)
     cut: dict[object, int] = {label: 0 for label in members}
-    for edge in g.edges.values():
+    for edge in g.edges:
         if edge.src == edge.dst:
             continue
         a, b = partition[edge.src], partition[edge.dst]
@@ -177,7 +177,7 @@ class PartitionState:
             for c, ns in members.items()
         }
         comm_cut = {c: 0 for c in members}
-        for edge in g.edges.values():
+        for edge in g.edges:
             if edge.src == edge.dst:
                 continue
             a, b = partition[edge.src], partition[edge.dst]
@@ -677,13 +677,6 @@ def materialize_macronodes(
             )
         )
         for nid in members:
-            g.add_edge(
-                Edge(
-                    edge_id(nid, RelationType.MEMBER_OF, macro_id),
-                    nid,
-                    macro_id,
-                    RelationType.MEMBER_OF,
-                )
-            )
+            g.add_edge(Edge(nid, macro_id, RelationType.MEMBER_OF))
         macro_ids.append(macro_id)
     return macro_ids

@@ -27,7 +27,7 @@ from .doc_model import (
     SourceDocument,
     TableBlock,
 )
-from .graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
+from .graph_core import Edge, Node, NodeType, RelationType, TypedGraph
 
 logger = logging.getLogger(__name__)
 
@@ -235,9 +235,11 @@ def planted_graph(
             )
         )
 
+    connected: set[tuple[int, int]] = set()
+
     def connect(a: int, b: int) -> None:
-        s, d = name(a), name(b)
-        g.add_edge(Edge(edge_id(s, RelationType.REFERS_TO, d), s, d, RelationType.REFERS_TO))
+        connected.add((a, b))
+        g.add_edge(Edge(name(a), name(b), RelationType.REFERS_TO))
 
     for c in range(n_communities):
         base = c * community_size
@@ -256,8 +258,7 @@ def planted_graph(
         b = rng.randrange(n)
         if a // community_size != b // community_size:
             lo, hi = min(a, b), max(a, b)
-            eid = edge_id(name(lo), RelationType.REFERS_TO, name(hi))
-            if eid not in g.edges:
+            if (lo, hi) not in connected:
                 connect(lo, hi)
                 made += 1
     return g

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from semrag.graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
+from semrag.graph_core import Edge, Node, NodeType, RelationType, TypedGraph
 from semrag.llm_clients import make_clients, summarize_with
 from semrag.pipeline import build_bundle, make_engine
 from semrag.synth import synthetic_corpus
@@ -30,12 +30,8 @@ def make_graph(n: int, edges: list[tuple[int, int]]) -> TypedGraph:
     g = TypedGraph()
     for i in range(n):
         g.add_node(Node(f"n{i}", NodeType.PARAGRAPH, f"node {i}"))
-    counts: dict[tuple[int, int], int] = {}
     for u, v in edges:
-        k = counts.get((u, v), 0)
-        counts[(u, v)] = k + 1
-        s, d = f"n{u}", f"n{v}"
-        g.add_edge(Edge(edge_id(s, REL, d, k), s, d, REL))
+        g.add_edge(Edge(f"n{u}", f"n{v}", REL))
     return g
 
 

@@ -359,11 +359,10 @@ def _first_line_repeated_with(key, value):
         ("edges.jsonl", _first_line_with("rel", "likes"), "/1/rel: edges.jsonl holds"),
         ("edges.jsonl", _first_line_with("dst", "nowhere"), "/1: edges.jsonl line 1:"),
         ("nodes.jsonl", _first_line_repeated_with("text", "other"), "/2: nodes.jsonl line 2:"),
-        ("edges.jsonl", _first_line_repeated_with("attrs", {"k": 1}), "/2: edges.jsonl line 2:"),
     ],
     ids=[
         "node-no-attrs", "node-text-int", "node-type", "edge-no-src", "edge-rel", "edge-dst",
-        "node-id-twice", "edge-id-twice",
+        "node-id-twice",
     ],
 )
 def test_graph_line_that_does_not_match_is_user_error(tmp_path, env, member, edit, message):

@@ -288,9 +288,9 @@ def test_smallest_binary_formula_graph():
     g = merge_units([sub.fragment])
     assert len(g.nodes_of_type(NodeType.OPERATOR)) == 1
     assert len(g.nodes_of_type(NodeType.VARIABLE)) == 2
-    operand_edges = [e for e in g.edges.values() if e.rel is RelationType.OPERAND_OF]
+    operand_edges = [e for e in g.edges if e.rel is RelationType.OPERAND_OF]
     assert sorted(e.attrs["slot"] for e in operand_edges) == [0, 1]
-    precedes = [e for e in g.edges.values() if e.rel is RelationType.PRECEDES]
+    precedes = [e for e in g.edges if e.rel is RelationType.PRECEDES]
     assert len(precedes) == 1
 
 
@@ -298,7 +298,7 @@ def test_repeated_variable_shares_one_node():
     sub = compile_formula("DOC", _eq("a+a", label=None))
     g = merge_units([sub.fragment])
     assert len(g.nodes_of_type(NodeType.VARIABLE)) == 1
-    operand_edges = [e for e in g.edges.values() if e.rel is RelationType.OPERAND_OF]
+    operand_edges = [e for e in g.edges if e.rel is RelationType.OPERAND_OF]
     assert len(operand_edges) == 2
 
 
@@ -334,7 +334,7 @@ def test_operand_slots_reproduce_child_order():
             children = sorted(
                 (
                     (e.attrs["slot"], e.src)
-                    for e in g.edges.values()
+                    for e in g.edges
                     if e.rel is RelationType.OPERAND_OF and e.dst == op_node.id
                 ),
             )
@@ -353,7 +353,7 @@ def test_sibling_chain_orders_sum_arguments():
     sub = compile_formula("DOC", _eq("sum(i,1,n,i^2)", label=None))
     g = merge_units([sub.fragment])
     chain = {
-        (e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.PRECEDES
+        (e.src, e.dst) for e in g.edges if e.rel is RelationType.PRECEDES
     }
     # the four sum arguments chain pairwise; the nested power contributes
     # one more link between its own two operands
@@ -429,6 +429,6 @@ def test_pipeline_emits_definition_edges_for_symbols():
     doc = _doc_with(["where B denotes the channel bandwidth"], eq)
     g = compile_corpus([doc])
     defines = {
-        (e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.DEFINES
+        (e.src, e.dst) for e in g.edges if e.rel is RelationType.DEFINES
     }
     assert ("DOC:e1:vB", "DOC:p0") in defines

@@ -16,7 +16,6 @@ from semrag.graph_core import (
     RelationType,
     TypedGraph,
     degree_vector,
-    edge_id,
     graphs_equal,
     khop_expand,
     load_graph,
@@ -25,7 +24,7 @@ from semrag.graph_core import (
     save_graph,
     volume,
 )
-from semrag.pipeline import build_bundle, load_bundle
+from semrag.pipeline import build_bundle, compile_corpus, load_bundle
 from semrag.synth import synthetic_corpus
 
 
@@ -55,26 +54,30 @@ def test_add_edge_requires_both_endpoints():
     g = TypedGraph()
     g.add_node(_para("a"))
     with pytest.raises(ValueError):
-        g.add_edge(Edge(edge_id("a", RelationType.REFERS_TO, "b"), "a", "b", RelationType.REFERS_TO))
+        g.add_edge(Edge("a", "b", RelationType.REFERS_TO))
 
 
-def test_add_edge_rejects_conflicting_payload():
-    g = TypedGraph()
-    g.add_node(_para("a"))
-    g.add_node(_para("b"))
-    eid = edge_id("a", RelationType.REFERS_TO, "b")
-    g.add_edge(Edge(eid, "a", "b", RelationType.REFERS_TO))
-    g.add_edge(Edge(eid, "a", "b", RelationType.REFERS_TO))
-    assert len(g.edges) == 1
-    with pytest.raises(IdCollisionError):
-        g.add_edge(Edge(eid, "a", "b", RelationType.REFERS_TO, {"note": "different"}))
-
-
-def test_parallel_edges_get_distinct_ids_and_both_count():
+def test_parallel_edges_are_kept_in_order_and_all_count():
     g = make_graph(2, [(0, 1), (0, 1)])
-    assert len(g.edges) == 2
-    assert g.degree("n0") == 2
-    assert g.degree("n1") == 2
+    g.add_edge(Edge("n0", "n1", RelationType.REFERS_TO, {"note": "third"}))
+    assert len(g.edges) == 3
+    assert g.out_edges["n0"] == g.in_edges["n1"] == g.edges
+    assert [e.attrs for e in g.edges] == [{}, {}, {"note": "third"}]
+    assert g.degree("n0") == 3
+    assert g.degree("n1") == 3
+
+
+def test_parallel_edges_save_in_the_order_they_were_added():
+    g = make_graph(2, [])
+    for note in ("b", "a", "c"):
+        g.add_edge(Edge("n1", "n0", RelationType.REFERS_TO, {"note": note}))
+    g.add_edge(Edge("n0", "n1", RelationType.REFERS_TO))
+    lines = [json.loads(line) for line in save_graph(g)[1].splitlines()]
+    assert [(e["src"], e["attrs"]) for e in lines] == [
+        ("n0", {}), ("n1", {"note": "b"}), ("n1", {"note": "a"}), ("n1", {"note": "c"}),
+    ]
+    assert all("id" not in e for e in lines)
+    assert save_graph(load_graph(*save_graph(g))) == save_graph(g)
 
 
 def test_self_loop_counts_two_toward_degree():
@@ -136,7 +139,7 @@ def test_merge_units_unifies_terms_and_redirects_edges():
     unified = terms[0]
     assert unified.id == "term:harq"
     assert unified.attrs["surfaces"] == ["HARQ", "harq"]
-    dsts = {e.dst for e in g.edges.values() if e.rel is RelationType.REFERS_TO}
+    dsts = {e.dst for e in g.edges if e.rel is RelationType.REFERS_TO}
     assert dsts == {"term:harq"}
     assert len(g.edges) == 2
 
@@ -155,6 +158,35 @@ def test_merge_units_is_fragment_order_independent():
     forward = merge_units(build())
     backward = merge_units(list(reversed(build())))
     assert graphs_equal(forward, backward)
+
+
+def _repeating_fragment(note: str) -> GraphFragment:
+    f = GraphFragment()
+    p = f.add_node(_para("d:p"))
+    t = f.add_node(Node("d:t", NodeType.TERM, "HARQ"))
+    f.add_edge(p.id, RelationType.REFERS_TO, t.id)
+    f.add_edge(p.id, RelationType.REFERS_TO, t.id, {"note": note})
+    return f
+
+
+def test_merge_units_keeps_an_equal_repeat_once_and_rejects_a_conflicting_one():
+    once = merge_units([_repeating_fragment("x")])
+    assert [(e.src, e.dst, e.attrs) for e in once.edges] == [
+        ("d:p", "term:harq", {}), ("d:p", "term:harq", {"note": "x"}),
+    ]
+    twice = merge_units([_repeating_fragment("x"), _repeating_fragment("x")])
+    assert save_graph(twice) == save_graph(once)
+    # the second parallel edge of each fragment claims one (src, rel, dst, k)
+    with pytest.raises(IdCollisionError):
+        merge_units([_repeating_fragment("x"), _repeating_fragment("y")])
+
+
+def test_a_document_given_twice_compiles_to_the_graph_of_it_given_once():
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    once = compile_corpus(corpus.docs, corpus.gazetteer)
+    twice = compile_corpus([*corpus.docs, corpus.docs[0]], corpus.gazetteer)
+    assert len(once.edges) == len(twice.edges) == 132
+    assert save_graph(twice) == save_graph(once)
 
 
 def test_merge_units_keeps_distinct_terms_apart():
@@ -192,8 +224,8 @@ def test_khop_filters_by_relation_type():
     g = TypedGraph()
     for nid in ("a", "b", "c"):
         g.add_node(_para(nid))
-    g.add_edge(Edge(edge_id("a", RelationType.REFERS_TO, "b"), "a", "b", RelationType.REFERS_TO))
-    g.add_edge(Edge(edge_id("a", RelationType.CONTAINS, "c"), "a", "c", RelationType.CONTAINS))
+    g.add_edge(Edge("a", "b", RelationType.REFERS_TO))
+    g.add_edge(Edge("a", "c", RelationType.CONTAINS))
     sub = khop_expand(g, {"a"}, 3, {RelationType.REFERS_TO})
     assert set(sub.nodes) == {"a", "b"}
 
@@ -247,13 +279,10 @@ def test_khop_hops_match_a_plain_bfs(graph_spec, allowed, k, budget):
     g = TypedGraph()
     for i in range(n):
         g.add_node(_para(f"n{i}"))
-    counts: dict[tuple, int] = {}
     neighbors: dict[str, set[str]] = {f"n{i}": set() for i in range(n)}
     for u, v, rel in edges:
-        key = (u, v, rel)
-        counts[key] = counts.get(key, 0) + 1
         src, dst = f"n{u}", f"n{v}"
-        g.add_edge(Edge(edge_id(src, rel, dst, counts[key] - 1), src, dst, rel))
+        g.add_edge(Edge(src, dst, rel))
         if rel in allowed:
             neighbors[src].add(dst)
             neighbors[dst].add(src)
@@ -322,10 +351,10 @@ def test_loaded_graph_keeps_one_object_per_node_id_and_provenance(tmp_path):
     build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
     g = load_bundle(tmp_path).graph
     keys = {node_id: node_id for node_id in g.nodes}
-    for edge in g.edges.values():
+    for edge in g.edges:
         assert edge.src is keys[edge.src] and edge.dst is keys[edge.dst]
     shared: dict[str, list[dict]] = {}
-    for item in [*g.nodes.values(), *g.edges.values()]:
+    for item in [*g.nodes.values(), *g.edges]:
         if "prov" in item.attrs:
             shared.setdefault(repr(item.attrs["prov"]), []).append(item.attrs["prov"])
     assert max(len(provs) for provs in shared.values()) > 1

@@ -63,7 +63,7 @@ def test_sections_paragraphs_and_containment():
     g = merge_units([result.fragment])
     assert g.nodes["DOC:s1"].type is NodeType.SECTION
     assert g.nodes["DOC:p1"].type is NodeType.PARAGRAPH
-    contains = {(e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.CONTAINS}
+    contains = {(e.src, e.dst) for e in g.edges if e.rel is RelationType.CONTAINS}
     assert ("DOC:s1", "DOC:s2") in contains  # deeper level nests under shallower
     assert ("DOC:s2", "DOC:p1") in contains
 
@@ -78,7 +78,7 @@ def test_gazetteer_terms_link_with_reference_edges():
     )
     result = compile_text(doc, gazetteer=["HARQ", "CQI"])
     g = merge_units([result.fragment])
-    refers = {(e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.REFERS_TO}
+    refers = {(e.src, e.dst) for e in g.edges if e.rel is RelationType.REFERS_TO}
     assert ("DOC:p1", "term:harq") in refers
     assert ("DOC:p2", "term:harq") in refers
     assert ("DOC:p2", "term:cqi") in refers
@@ -97,7 +97,7 @@ def test_longest_gazetteer_surface_wins_overlaps():
     )
     result = compile_text(doc, gazetteer=["spectral efficiency", "efficiency"])
     g = merge_units([result.fragment])
-    refers = {e.dst for e in g.edges.values() if e.rel is RelationType.REFERS_TO}
+    refers = {e.dst for e in g.edges if e.rel is RelationType.REFERS_TO}
     assert "term:spectral efficiency" in refers
     assert "term:efficiency" not in refers
 
@@ -114,7 +114,7 @@ def test_definitional_sentences_emit_definition_edges():
     )
     result = compile_text(doc, gazetteer=["HARQ"])
     g = merge_units([result.fragment])
-    defines = {(e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.DEFINES}
+    defines = {(e.src, e.dst) for e in g.edges if e.rel is RelationType.DEFINES}
     assert defines == {("term:harq", "DOC:p1")}
 
 
@@ -156,7 +156,9 @@ def test_term_links_equal_a_loop_over_every_pattern(texts, surfaces):
     with mock.patch.object(Gazetteer, "candidates", lambda self, text: self.patterns):
         every = compile_text(doc, gazetteer=surfaces).fragment
     assert [(n.id, n.text) for n in indexed.nodes] == [(n.id, n.text) for n in every.nodes]
-    assert [e.id for e in indexed.edges] == [e.id for e in every.edges]
+    assert [(e.src, e.rel, e.dst) for e in indexed.edges] == [
+        (e.src, e.rel, e.dst) for e in every.edges
+    ]
 
 
 def test_clause_references_resolve_to_sections():
@@ -169,7 +171,7 @@ def test_clause_references_resolve_to_sections():
     )
     result = compile_text(doc)
     g = merge_units([result.fragment])
-    refers = {(e.src, e.dst) for e in g.edges.values() if e.rel is RelationType.REFERS_TO}
+    refers = {(e.src, e.dst) for e in g.edges if e.rel is RelationType.REFERS_TO}
     assert ("DOC:p1", "DOC:s2") in refers
     assert result.diagnostics == []
 
@@ -293,7 +295,7 @@ def test_compile_table_cells_carry_provenance_self_loop():
     for cell in g.nodes_of_type(NodeType.CELL):
         loops = [
             e
-            for e in g.edges.values()
+            for e in g.edges
             if e.rel is RelationType.SRC and e.src == cell.id and e.dst == cell.id
         ]
         assert len(loops) == 1

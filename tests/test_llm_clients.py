@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from semrag.graph_core import Edge, Node, NodeType, RelationType, TypedGraph, edge_id
+from semrag.graph_core import Edge, Node, NodeType, RelationType, TypedGraph
 from semrag.llm_clients import (
     NO_EVIDENCE_ANSWER,
     OfflineLlmClient,
@@ -35,7 +35,7 @@ def _prov(clause: str) -> dict:
 
 
 def _link(g: TypedGraph, src: str, rel: RelationType, dst: str) -> None:
-    g.add_edge(Edge(edge_id(src, rel, dst), src, dst, rel))
+    g.add_edge(Edge(src, dst, rel))
 
 
 @pytest.fixture(scope="module")

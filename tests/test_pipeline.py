@@ -24,6 +24,7 @@ import pytest
 
 import semrag.pipeline as pipeline
 from semrag.errors import ChecksumError, FormatVersionError, SchemaError
+from semrag.llm_clients import TokenLedger, make_clients
 from semrag.pipeline import (
     PipelineConfig,
     build_bundle,
@@ -171,6 +172,31 @@ def test_answering_from_an_opened_bundle_keeps_nothing_per_question(tmp_path):
     # a ledger row per answer would hold over 100 bytes each
     assert grown < 10 * 10 * len(corpus.gold), grown
     assert bundle.clients.ledger is None
+
+
+def test_answering_from_a_fresh_build_records_no_ledger_entry(tmp_path, monkeypatch):
+    corpus = synthetic_corpus(n_docs=3, seed=0)
+    bundle = build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
+    # offline summaries call no model, so the build's ledger stays empty
+    ledger_file = (tmp_path / "token_ledger.csv").read_text().splitlines()
+    assert ledger_file == ["op,tokens_in,tokens_out,wall_ms"]
+    recorded = []
+    monkeypatch.setattr(TokenLedger, "record", lambda self, *row: recorded.append(row))
+    engine = make_engine(bundle)
+    questions = [query.question for query in corpus.gold]
+    for n in range(200):
+        engine.answer(questions[n % len(questions)], bundle.clients.llm)
+    assert recorded == []
+    assert bundle.clients.ledger is None
+
+
+def test_a_build_returns_the_clients_it_was_given(tmp_path):
+    corpus = synthetic_corpus(n_docs=2, seed=0)
+    clients = make_clients(offline=True, ledger=TokenLedger())
+    bundle = build_bundle(corpus.docs, corpus.gazetteer, tmp_path, clients=clients)
+    assert bundle.clients is clients
+    make_engine(bundle).answer(corpus.gold[0].question, bundle.clients.llm)
+    assert len(clients.ledger.entries) == 1
 
 
 def _snapshot(directory: Path) -> dict[str, bytes]:

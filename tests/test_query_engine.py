@@ -369,11 +369,11 @@ def _two_sided_scan(g, row_path, col_path, predicates=()):
 
     def bound(kind, rel, path):
         return {
-            g.edges[eid].src
+            edge.src
             for header in g.nodes_of_type(kind)
             if tuple(header.attrs.get("path", ())) == path
-            for eid in g.in_edges[header.id]
-            if g.edges[eid].rel == rel
+            for edge in g.in_edges[header.id]
+            if edge.rel == rel
         }
 
     candidates = None
@@ -391,7 +391,7 @@ def _two_sided_scan(g, row_path, col_path, predicates=()):
         node = g.nodes[cell_id]
         guards = sorted(
             (g.nodes[edge.src].attrs.get("marker", ""), g.nodes[edge.src].text)
-            for edge in (g.edges[eid] for eid in g.in_edges[cell_id])
+            for edge in g.in_edges[cell_id]
             if edge.rel == RelationType.ACTIVATES
             and g.nodes[edge.src].attrs.get("marker") not in predicates
         )

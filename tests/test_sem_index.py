@@ -55,7 +55,7 @@ from semrag.sem_index import (
     sem_minimize,
     shannon,
 )
-from semrag.synth import synthetic_corpus
+from semrag.synth import planted_graph, synthetic_corpus
 
 # Frozen outputs of the conftest oracles on the two handmade graphs.
 TRIANGLES_H1 = 2.556656707462823
@@ -527,6 +527,19 @@ def test_minimize_two_k5_recovers_cliques():
     assert result.h2 == pytest.approx(K5_MIN_H2, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_communities", [50, 200])
+def test_minimize_recovers_a_planted_partition(n_communities):
+    size = 8
+    g = planted_graph(n_communities, size)
+    # the cliques, the bridge ring and n_communities // 10 cross edges
+    assert len(g.edges) == n_communities * (size * (size - 1) // 2 + 1) + n_communities // 10
+    communities = {frozenset(m) for m in sem_minimize(g).communities.values()}
+    # node v is planted in community v // size
+    assert communities == {
+        frozenset(f"v{c * size + i:06d}" for i in range(size)) for c in range(n_communities)
+    }
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_minimize_invariants_on_random_graphs(seed):
     g, edges, n = random_graph(seed + 4000, n_max=25, allow_loops=(seed % 6 == 0))
@@ -648,9 +661,7 @@ def test_membership_edges_connect_members_to_their_macro():
         macro_id = f"macro:{key}"
         assert macro_id in macro_ids
         linked = {
-            g.edges[eid].src
-            for eid in g.in_edges[macro_id]
-            if g.edges[eid].rel is RelationType.MEMBER_OF
+            e.src for e in g.in_edges[macro_id] if e.rel is RelationType.MEMBER_OF
         }
         assert linked == set(members)
 

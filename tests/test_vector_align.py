@@ -107,12 +107,10 @@ def test_topo_feature_histogram_tracks_neighbor_types():
     g.add_node(Node("p", NodeType.PARAGRAPH, "para"))
     g.add_node(Node("t1", NodeType.TERM, "one"))
     g.add_node(Node("t2", NodeType.TERM, "two"))
-    from semrag.graph_core import Edge, RelationType, edge_id
+    from semrag.graph_core import Edge, RelationType
 
     for t in ("t1", "t2"):
-        g.add_edge(
-            Edge(edge_id("p", RelationType.REFERS_TO, t), "p", t, RelationType.REFERS_TO)
-        )
+        g.add_edge(Edge("p", t, RelationType.REFERS_TO))
     v = topo_feature(g, "p")
     hist = v[1 + len(NodeType) :]
     term_index = list(NodeType).index(NodeType.TERM)
