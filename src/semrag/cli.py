@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedConstructError,
 )
 from .graph_core import NodeType
-from .pipeline import Bundle, PipelineConfig, build_bundle, load_bundle, make_engine
+from .pipeline import PipelineConfig, build_bundle, load_bundle, make_engine
 from .query_engine import Route
 
 logger = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ _USER_ERRORS = (
 )
 _UPSTREAM_ERRORS = (HttpError, SummarizerError, TimeoutError)
 
-# budgets, hop bounds and seeds: a negative value is a usage error
+# budgets and hop bounds: a negative value is a usage error
 _COUNT = click.IntRange(min=0)
 
 
@@ -139,11 +139,8 @@ def _read_corpus(corpus_dir: Path) -> tuple[list, list[str]]:
 )
 @click.option("--offline/--online", default=True, show_default=True)
 @click.option("--align/--no-align", default=False, show_default=True)
-@click.option("--seed", default=0, show_default=True, type=_COUNT)
 @_guard
-def cmd_index(
-    corpus_dir, out_dir, gazetteer_path, k, ts, khop, offline, align, seed
-):
+def cmd_index(corpus_dir, out_dir, gazetteer_path, k, ts, khop, offline, align):
     """Compile a corpus directory into an indexed bundle directory.
 
     The bundle lands whole or not at all: it replaces an existing bundle
@@ -164,7 +161,6 @@ def cmd_index(
         khop=khop,
         offline=offline,
         align=align,
-        seed=seed,
     )
     bundle = build_bundle(docs, gazetteer, out_dir, config=config)
     click.echo(
@@ -172,10 +168,6 @@ def cmd_index(
         f"{len(bundle.graph.nodes)} nodes, {len(bundle.graph.edges)} edges, "
         f"{len(bundle.index.communities)} communities"
     )
-
-
-def _load(bundle_dir: str) -> Bundle:
-    return load_bundle(bundle_dir)
 
 
 @cli.command("query")
@@ -195,7 +187,7 @@ def _load(bundle_dir: str) -> Bundle:
 @_guard
 def cmd_query(bundle_dir, question, row, col, given, route_name, as_json, k):
     """Answer a question, or look up a table cell by header paths."""
-    bundle = _load(bundle_dir)
+    bundle = load_bundle(bundle_dir)
     if k is not None:
         bundle.config.budget = k
     engine = make_engine(bundle)
@@ -248,14 +240,14 @@ def cmd_query(bundle_dir, question, row, col, given, route_name, as_json, k):
 @click.option("--json", "as_json", is_flag=True)
 @_guard
 def cmd_stats(bundle_dir, as_json):
-    """Entropy, community, merge-trace and indexing-token statistics.
+    """Entropy, community and indexing-token statistics.
 
     The entropies are the h1 and h2 that index.json records, taken when
     the graph was indexed, before its macro nodes were attached.
     index_tokens is what summarizing the communities cost: the tokens_used
     recorded on the macro nodes.
     """
-    bundle = _load(bundle_dir)
+    bundle = load_bundle(bundle_dir)
     node_counts: dict[str, int] = {}
     for node in bundle.graph.nodes.values():
         node_counts[node.type.value] = node_counts.get(node.type.value, 0) + 1
@@ -266,7 +258,6 @@ def cmd_stats(bundle_dir, as_json):
     histogram: dict[int, int] = {}
     for members in bundle.index.communities.values():
         histogram[len(members)] = histogram.get(len(members), 0) + 1
-    trace = [m.delta for m in bundle.index.dendrogram]
     index_tokens = 0
     for node in bundle.graph.nodes_of_type(NodeType.MACRO_NODE):
         tokens = node.attrs.get("tokens_used")
@@ -288,7 +279,6 @@ def cmd_stats(bundle_dir, as_json):
         "community_size_histogram": {
             str(size): count for size, count in sorted(histogram.items())
         },
-        "merge_deltas": [round(d, 9) for d in trace],
     }
     if as_json:
         click.echo(canonical_json_bytes(payload).decode("utf-8"))
@@ -307,9 +297,6 @@ def cmd_stats(bundle_dir, as_json):
         f"{size}x{count}" for size, count in sorted(histogram.items())
     )
     click.echo(f"community sizes: {sizes or '(none)'}")
-    shown = [f"{d:+.4f}" for d in trace[:10]]
-    suffix = f" ... ({len(trace)} merges)" if len(trace) > 10 else ""
-    click.echo(f"merge deltas: {' '.join(shown) or '(none)'}{suffix}")
 
 
 @cli.command("export-graph")
@@ -320,7 +307,7 @@ def cmd_export_graph(bundle_dir, out_dir):
     """Copy a bundle's graph members, nodes.jsonl and edges.jsonl, byte for
     byte, once the bundle has opened: every member matches its checksum
     and the graph decodes."""
-    bundle = _load(bundle_dir)
+    bundle = load_bundle(bundle_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("nodes.jsonl", "edges.jsonl"):

@@ -5,11 +5,14 @@ fragments; build_bundle adds the entropy index and community summaries
 and writes the bundle. This module alone holds the bundle's on-disk
 contract: which members a config writes, the format version, and the
 manifest.json that records a sha256 for every member, byte-identical
-across offline runs (no timestamps, sorted keys). A build is written to a
-fresh directory beside the target and renamed onto it whole. load_bundle
-reads each member once, checks it against the manifest, and decodes those
-same bytes, failing closed on a missing member, one the build does not
-write, or one that does not match. make_engine wires the loaded graph and
+across offline runs (no timestamps, sorted keys). A member holds only what
+the graph does not: the graph itself, the partition with its entropies,
+and the vector counts, whose row order is the graph's (indexed_ids) and
+whose row count the manifest records. A build is written to a fresh
+directory beside the target and renamed onto it whole. load_bundle reads
+each member once, checks it against the manifest, and decodes those same
+bytes, failing closed on a missing member, one the build does not write,
+or one that does not match. make_engine wires the loaded graph and
 vectors to the retrieval engine. An aligned build also trains and saves
 the view aligner (align.json); retrieval does not read it.
 """
@@ -26,6 +29,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .doc_model import (
     EquationBlock,
     SourceDocument,
@@ -40,8 +45,10 @@ from .graph_core import (
 )
 from .layout_compiler import Gazetteer, compile_table, compile_text
 from .llm_clients import Clients, TokenLedger, make_clients, summarize_with
-from .query_engine import QueryEngine, RetrievalConfig, index_vectors
-from .sem_index import Merge, MinimizeResult, materialize_macronodes, sem_minimize
+from .query_engine import (
+    QueryEngine, RetrievalConfig, index_vectors, indexed_ids, retrieval_text
+)
+from .sem_index import MinimizeResult, materialize_macronodes, sem_minimize
 from .vector_align import (
     AlignConfig,
     AlignResult,
@@ -56,7 +63,7 @@ from .vector_align import (
 
 logger = logging.getLogger(__name__)
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 # config field annotation -> accepted JSON value types; bool is not an int here
 _JSON_TYPES = {"int": (int,), "bool": (bool,)}
@@ -68,7 +75,6 @@ class PipelineConfig:
     summary_budget_tokens: int = 500
     khop: int = 3
     offline: bool = True
-    seed: int = 0
     align: bool = False
 
     def to_json(self) -> dict:
@@ -102,14 +108,7 @@ class PipelineConfig:
 
 def _members(cfg: PipelineConfig) -> list[str]:
     """The checksummed files build_bundle writes under a config."""
-    members = [
-        "nodes.jsonl",
-        "edges.jsonl",
-        "index.json",
-        "gazetteer.json",
-        "vectors.json",
-        "vectors.bin",
-    ]
+    members = ["nodes.jsonl", "edges.jsonl", "index.json", "vectors.bin"]
     if cfg.align:
         members.append("align.json")
     return members
@@ -153,13 +152,7 @@ def compile_corpus(
 # --- bundle persistence -----------------------------------------------------
 
 def _index_to_json(result: MinimizeResult) -> dict:
-    return {
-        "partition": result.partition,
-        "dendrogram": [[m.a, m.b, m.merged, m.delta] for m in result.dendrogram],
-        "h1": result.h1,
-        "h2": result.h2,
-        "epsilon": result.epsilon,
-    }
+    return {"partition": result.partition, "h1": result.h1, "h2": result.h2}
 
 
 def _field(obj: dict, key: str, types: tuple) -> object:
@@ -170,23 +163,10 @@ def _field(obj: dict, key: str, types: tuple) -> object:
     return value
 
 
-def _merge(step) -> Merge:
-    if not (
-        type(step) is list
-        and len(step) == 4
-        and all(type(v) is int for v in step[:3])
-        and type(step[3]) in (int, float)
-    ):
-        raise SchemaError(
-            "/dendrogram", "index.json holds a merge that is not [a, b, merged, delta]"
-        )
-    return Merge(*step)
-
-
 def _index_from_json(obj, graph: TypedGraph) -> MinimizeResult:
-    """The index index.json records over the graph; a key that is missing
-    or of the wrong type, or a partition that does not name exactly the
-    graph's non-macro nodes, raises SchemaError."""
+    """The index index.json records over the graph, with no dendrogram; a
+    key that is missing or of the wrong type, or a partition that does not
+    name exactly the graph's non-macro nodes, raises SchemaError."""
     if not isinstance(obj, dict):
         raise SchemaError("", "index.json is not a JSON object")
     partition = _field(obj, "partition", (dict,))
@@ -202,10 +182,9 @@ def _index_from_json(obj, graph: TypedGraph) -> MinimizeResult:
         )
     return MinimizeResult(
         partition=partition,
-        dendrogram=[_merge(step) for step in _field(obj, "dendrogram", (list,))],
+        dendrogram=[],
         h1=_field(obj, "h1", (int, float)),
         h2=_field(obj, "h2", (int, float)),
-        epsilon=_field(obj, "epsilon", (int, float)),
     )
 
 
@@ -219,15 +198,18 @@ def _sha256(blob: bytes) -> str:
 
 @dataclass
 class Bundle:
-    """A built or loaded bundle. ``vectors`` is what QueryEngine takes:
-    index_vectors' int32 counts after a build, load_vectors' float64 unit
-    rows after a load, which the engine then shares rather than copies."""
+    """A built or loaded bundle. ``vectors`` is the matrix QueryEngine
+    takes, one row per indexed_ids entry: index_vectors' int32 counts
+    after a build, load_vectors' float64 unit rows after a load, which the
+    engine then shares rather than copies. ``index`` carries the
+    minimizer's dendrogram after a build and an empty one after a load,
+    since the bundle does not record it."""
 
     path: Path
     graph: TypedGraph
     index: MinimizeResult
     config: PipelineConfig
-    vectors: tuple
+    vectors: np.ndarray
     clients: Optional[Clients] = None
     alignment: Optional[AlignResult] = None
 
@@ -274,11 +256,13 @@ def build_bundle(
     """Compile, index, summarize, and persist one corpus.
 
     The bundle directory holds the graph (nodes and edges), the community
-    index with its dendrogram, the gazetteer, the vector index, the
-    optional alignment model, and a manifest with configuration, counts,
-    and a checksum of each of them. Wall-clock data goes to a separate
-    ledger file outside the checksummed set, so two offline runs over the
-    same input produce byte-identical bundles.
+    partition with its entropies, the vector index, the optional
+    alignment model, and a manifest with configuration, counts (the
+    vector rows among them), and a checksum of each of them. The
+    gazetteer lives on as the graph's Term nodes, and the dendrogram only
+    in the returned index. Wall-clock data goes to a separate ledger file
+    outside the checksummed set, so two offline runs over the same input
+    produce byte-identical bundles.
 
     ``out_dir`` gets the whole bundle or keeps what it held: the files are
     written into a fresh directory beside it, which is then renamed onto
@@ -305,13 +289,12 @@ def build_bundle(
         )
         members = dict(zip(("nodes.jsonl", "edges.jsonl"), save_graph(graph)))
         members["index.json"] = canonical_json_bytes(_index_to_json(index)) + b"\n"
-        members["gazetteer.json"] = canonical_json_bytes(sorted(set(gazetteer))) + b"\n"
         alignment = None
         if cfg.align:
-            alignment = train_alignment(graph, seed=cfg.seed)
+            alignment = train_alignment(graph)
             members["align.json"] = save_alignment(alignment)
-        ids, counts = index_vectors(graph)
-        members["vectors.json"], members["vectors.bin"] = save_vectors(ids, counts)
+        counts = index_vectors(graph)
+        members["vectors.bin"] = save_vectors(counts)
         for name, blob in members.items():
             (new / name).write_bytes(blob)
         manifest = {
@@ -322,6 +305,7 @@ def build_bundle(
                 "nodes": len(graph.nodes),
                 "edges": len(graph.edges),
                 "communities": len(index.communities),
+                "vectors": len(counts),
             },
             "checksums": {name: _sha256(members[name]) for name in _members(cfg)},
         }
@@ -334,7 +318,7 @@ def build_bundle(
         index=index,
         config=cfg,
         clients=given or make_clients(offline=cfg.offline),
-        vectors=(ids, counts),
+        vectors=counts,
         alignment=alignment,
     )
 
@@ -346,9 +330,11 @@ def _summary_tuple(clients: Clients, text: str, budget: int) -> tuple[str, int]:
 
 def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     """Open a bundle: each member is read once, checked against its
-    manifest checksum, and decoded from the bytes that were checked.
-    Clients made for it keep no token ledger, so that answering from it
-    holds no memory per question."""
+    manifest checksum, and decoded from the bytes that were checked. The
+    manifest's vector row count must be the graph's indexable node count,
+    checked before the rows are allocated; the rows are in indexed_ids
+    order. The index has an empty dendrogram. Clients made for it keep no
+    token ledger, so that answering from it holds no memory per question."""
     src = Path(path)
     manifest = _json((src / "manifest.json").read_bytes())
     if not isinstance(manifest, dict):
@@ -384,7 +370,16 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     # of the graph are held at once
     graph = load_graph(blobs.pop("nodes.jsonl"), blobs.pop("edges.jsonl"))
     index = _index_from_json(_json(blobs.pop("index.json")), graph)
-    vectors = load_vectors(blobs.pop("vectors.json"), blobs.pop("vectors.bin"))
+    counts = manifest.get("counts")
+    rows = counts.get("vectors") if isinstance(counts, dict) else None
+    indexable = len(indexed_ids(graph))
+    if type(rows) is not int or rows != indexable:
+        raise SchemaError(
+            "/counts/vectors",
+            f"bundle manifest records {rows!r} vector rows, not the graph's "
+            f"{indexable} indexable nodes",
+        )
+    vectors = load_vectors(blobs.pop("vectors.bin"), rows)
     alignment = load_alignment(blobs.pop("align.json")) if cfg.align else None
     return Bundle(
         path=src,
@@ -409,18 +404,9 @@ def make_engine(bundle: Bundle) -> QueryEngine:
     )
 
 
-def train_alignment(
-    graph: TypedGraph, seed: int = 0, sample_limit: int = 256
-) -> AlignResult:
+def train_alignment(graph: TypedGraph, sample_limit: int = 256) -> AlignResult:
     """Fit the view aligner on the graph's own (text, topology) pairs."""
-    from .query_engine import INDEXED_TYPES, retrieval_text
-
-    indexed = set(INDEXED_TYPES)
-    ids = [
-        nid
-        for nid in sorted(graph.nodes)
-        if graph.nodes[nid].type in indexed and graph.nodes[nid].text
-    ][:sample_limit]
+    ids = [nid for nid in indexed_ids(graph) if graph.nodes[nid].text][:sample_limit]
     texts = [embed_text(retrieval_text(graph, nid)) for nid in ids]
     topos = [topo_feature(graph, nid) for nid in ids]
-    return align_views(texts, topos, AlignConfig(seed=seed))
+    return align_views(texts, topos, AlignConfig())

@@ -320,18 +320,22 @@ def build_prompt(question: str, records: Sequence[EvidenceRecord]) -> str:
     return "\n".join(lines)
 
 
-def index_vectors(g: TypedGraph) -> tuple[list[str], np.ndarray]:
-    """Hash counts of the retrieval text of every indexable node, rows
-    sorted by node id.
-
-    The int32 matrix is ``len(ids)`` by EMBED_DIM, with or without alignment.
-    """
+def indexed_ids(g: TypedGraph) -> list[str]:
+    """The ids of the graph's INDEXED_TYPES nodes in sorted order: the row
+    order of the vector index."""
     indexed = set(INDEXED_TYPES)
-    ids = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
+    return [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
+
+
+def index_vectors(g: TypedGraph) -> np.ndarray:
+    """Hash counts of the retrieval text of every indexable node, one
+    int32 row per indexed_ids entry, EMBED_DIM wide, with or without
+    alignment."""
+    ids = indexed_ids(g)
     counts = np.zeros((len(ids), EMBED_DIM), dtype=np.int32)
     for row, nid in enumerate(ids):
         counts[row] = hash_counts(retrieval_text(g, nid))
-    return ids, counts
+    return counts
 
 
 @dataclass
@@ -359,13 +363,12 @@ class QueryEngine:
     """Vector index plus retrieval over one compiled graph, each question
     routed by the rule table (rule_route) over its features.
 
-    ``vectors`` is the index, ``(node ids, rows)``: integer hash counts
-    as index_vectors computes them, which are scaled to unit rows here
-    (unit_rows), or float64 unit rows as load_vectors decodes them, which
-    the engine searches as they are, without a copy. Either way each row
-    holds the bits embed_text gives its node's text. The ids must be
-    exactly the graph's indexable nodes in id order, and the rows
-    EMBED_DIM wide.
+    ``matrix`` is the index, one row per indexed_ids entry: integer hash
+    counts as index_vectors computes them, which are scaled to unit rows
+    here (unit_rows), or float64 unit rows as load_vectors decodes them,
+    which the engine searches as they are, without a copy. Either way each
+    row holds the bits embed_text gives its node's text. The matrix must
+    be exactly len(indexed_ids(g)) by EMBED_DIM.
     Construction compiles and word-indexes the gazetteer's term surfaces
     once, so no question rescans the graph. The cell index (cell_index:
     the cells bound to each header path) is built by the first lookup and
@@ -376,24 +379,18 @@ class QueryEngine:
     def __init__(
         self,
         g: TypedGraph,
-        vectors: tuple[Sequence[str], np.ndarray],
+        matrix: np.ndarray,
         config: Optional[RetrievalConfig] = None,
     ):
         self.g = g
         self.config = config or RetrievalConfig()
-        ids, matrix = list(vectors[0]), np.asarray(vectors[1])
-        indexed = set(INDEXED_TYPES)
-        expected = [nid for nid in sorted(g.nodes) if g.nodes[nid].type in indexed]
-        if ids != expected:
-            raise SchemaError(
-                "/vectors/ids",
-                "precomputed vectors do not cover the graph's indexable nodes",
-            )
+        ids, matrix = indexed_ids(g), np.asarray(matrix)
         if matrix.shape != (len(ids), EMBED_DIM):
             raise SchemaError(
-                "/vectors/dim",
-                f"vector matrix of shape {matrix.shape} is not "
-                f"{len(ids)} x {EMBED_DIM}; rebuild the bundle",
+                "/vectors",
+                f"vector matrix of shape {matrix.shape} is not {len(ids)} x "
+                f"{EMBED_DIM}, the graph's indexable nodes by EMBED_DIM; "
+                "rebuild the bundle",
             )
         self._ids = ids
         self._row_of = {nid: row for row, nid in enumerate(ids)}

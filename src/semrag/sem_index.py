@@ -368,14 +368,15 @@ class MinimizeResult:
     partition maps node id to a stable community key (the smallest member
     id); communities, derived from it, maps each key to its sorted
     members. Replaying the dendrogram from singletons reaches exactly this
-    partition.
+    partition. Every merge lowered h2 by more than EPSILON. A bundle does
+    not record the dendrogram, so an index that load_bundle decodes has an
+    empty one.
     """
 
     partition: dict[str, str]
     dendrogram: list[Merge]
     h1: float
     h2: float
-    epsilon: float
     communities: dict[str, list[str]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -601,7 +602,6 @@ def sem_minimize(g: TypedGraph) -> MinimizeResult:
         dendrogram=merges,
         h1=h1(g),
         h2=final_state.h2(),
-        epsilon=EPSILON,
     )
 
 

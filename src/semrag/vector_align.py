@@ -284,20 +284,16 @@ def unit_rows(counts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def save_vectors(ids: Sequence[str], counts: np.ndarray) -> tuple[bytes, bytes]:
-    """The hash counts index_vectors computes, encoded as the vectors.json
-    and vectors.bin blobs.
-
-    The JSON holds the row order, ``{"ids": [...]}``. The binary holds the
-    non-zero counts in row-major order, each a little-endian int32 row,
-    uint16 bucket and int32 count: exact, and a small part of the float
-    rows they scale to.
+def save_vectors(counts: np.ndarray) -> bytes:
+    """The hash counts index_vectors computes, encoded as the vectors.bin
+    blob: the non-zero counts in row-major order, each a little-endian
+    int32 row, uint16 bucket and int32 count. Exact, and a small part of
+    the float rows they scale to. The row order is the graph's
+    (query_engine.indexed_ids), so the blob holds no ids.
     """
     mat = np.asarray(counts)
-    if mat.ndim != 2 or mat.shape[0] != len(ids):
-        raise DimensionMismatch(
-            f"matrix of shape {mat.shape} does not match {len(ids)} ids"
-        )
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"vector counts of shape {mat.shape} are not a matrix")
     rows, buckets = np.nonzero(mat)
     values = mat[rows, buckets]
     limits = np.iinfo(np.int32)
@@ -307,33 +303,33 @@ def save_vectors(ids: Sequence[str], counts: np.ndarray) -> tuple[bytes, bytes]:
         raise SchemaError("/counts", "vector counts must be int32 integers")
     entries = np.empty(len(values), dtype=_COO)
     entries["row"], entries["bucket"], entries["count"] = rows, buckets, values
-    meta = json.dumps({"ids": list(ids)}, indent=2, sort_keys=True) + "\n"
-    return meta.encode("utf-8"), entries.tobytes()
+    return entries.tobytes()
 
 
-def load_vectors(meta_blob: bytes, payload: bytes) -> tuple[list[str], np.ndarray]:
-    """The node ids and unit rows, ``len(ids)`` by EMBED_DIM, of the blobs
-    save_vectors wrote; the counts go straight into the float64 rows, so
-    no integer copy outlives the call."""
-    meta = json.loads(meta_blob.decode("utf-8"))
-    if not isinstance(meta, dict) or set(meta) != {"ids"}:
-        raise SchemaError("", 'vectors.json must hold exactly the key "ids"')
-    ids = meta["ids"]
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise SchemaError("/ids", "vectors.json ids must be a list of strings")
+def load_vectors(payload: bytes, rows: int) -> np.ndarray:
+    """The unit rows, ``rows`` by EMBED_DIM, of the blob save_vectors
+    wrote; the counts go straight into the float64 rows, so no integer
+    copy outlives the call. Entries that are not non-zero counts inside
+    the matrix in strictly row-major order, as save_vectors writes them,
+    raise SchemaError."""
     if len(payload) % _COO.itemsize:
         raise SchemaError(
             "/count", f"vectors.bin holds {len(payload)} bytes, not whole entries"
         )
     entries = np.frombuffer(payload, dtype=_COO)
-    rows, buckets = entries["row"], entries["bucket"]
+    at, buckets, values = entries["row"], entries["bucket"], entries["count"]
     if len(entries) and not (
-        0 <= rows.min() and rows.max() < len(ids) and buckets.max() < EMBED_DIM
+        0 <= at.min() and at.max() < rows and buckets.max() < EMBED_DIM
     ):
         raise SchemaError("/count", "vectors.bin holds an entry outside the matrix")
-    matrix = np.zeros((len(ids), EMBED_DIM), dtype=np.float64)
-    matrix[rows, buckets] = entries["count"]
-    return ids, unit_rows(matrix)
+    cells = at.astype(np.int64) * EMBED_DIM + buckets
+    if not (np.all(values != 0) and np.all(np.diff(cells) > 0)):
+        raise SchemaError(
+            "/count", "vectors.bin holds a zero count or entries out of row-major order"
+        )
+    matrix = np.zeros((rows, EMBED_DIM), dtype=np.float64)
+    matrix[at, buckets] = values
+    return unit_rows(matrix)
 
 
 def save_alignment(result: AlignResult) -> bytes:

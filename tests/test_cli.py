@@ -28,7 +28,7 @@ from semrag.llm_clients import (
 )
 from conftest import rewrite_member
 from semrag.pipeline import PipelineConfig, build_bundle, load_bundle
-from semrag.query_engine import index_vectors
+from semrag.query_engine import index_vectors, indexed_ids
 from semrag.synth import synthetic_corpus
 from semrag.vector_align import load_vectors, save_vectors
 
@@ -257,52 +257,26 @@ def test_bundle_with_topology_columns_is_user_error(tmp_path, env):
     runner = CliRunner()
     built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
     assert built.exit_code == 0, built.output
-    ids, counts = index_vectors(load_bundle(out).graph)
-    topology = np.ones((len(ids), 23), dtype=np.int32)
-    meta, payload = save_vectors(ids, np.hstack([counts, topology]))
-    rewrite_member(out, "vectors.json", meta)
-    rewrite_member(out, "vectors.bin", payload)
+    counts = index_vectors(load_bundle(out).graph)
+    topology = np.ones((len(counts), 23), dtype=np.int32)
+    rewrite_member(out, "vectors.bin", save_vectors(np.hstack([counts, topology])))
     result = runner.invoke(cli, ["query", str(out), QUESTION])
     assert result.exit_code == EXIT_USER_ERROR, result.output
 
 
 def test_bundle_with_float_vectors_is_user_error(tmp_path, env):
     """A bundle whose vector index holds float64 unit rows, the format of
-    version 1, is refused with an error line, not read as counts."""
+    an early version, is refused with an error line, not read as counts."""
     out = tmp_path / "bundle"
     runner = CliRunner()
     built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
     assert built.exit_code == 0, built.output
-    ids, rows = load_vectors(
-        (out / "vectors.json").read_bytes(), (out / "vectors.bin").read_bytes()
-    )
-    meta = {
-        "format_version": 1,
-        "dtype": "<f8",
-        "count": len(ids),
-        "dim": rows.shape[1],
-        "ids": ids,
-    }
+    count = len(indexed_ids(load_bundle(out).graph))
+    rows = load_vectors((out / "vectors.bin").read_bytes(), count)
     rewrite_member(out, "vectors.bin", rows.tobytes())
-    rewrite_member(out, "vectors.json", json.dumps(meta, indent=2).encode())
     result = runner.invoke(cli, ["query", str(out), QUESTION])
     assert result.exit_code == EXIT_USER_ERROR, result.output
-    assert 'vectors.json must hold exactly the key "ids"' in result.output
-
-
-def test_vectors_json_without_ids_is_user_error(tmp_path, env):
-    out = tmp_path / "bundle"
-    runner = CliRunner()
-    built = runner.invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
-    assert built.exit_code == 0, built.output
-    rewrite_member(out, "vectors.json", b"{}\n")
-    result = runner.invoke(cli, ["query", str(out), QUESTION])
-    assert result.exit_code == EXIT_USER_ERROR, result.output
-    assert "error: " in result.output
-
-
-def _mistype_first_merge(index: dict) -> None:
-    index["dendrogram"][0][0] = "10"
+    assert "error: /count: vectors.bin holds" in result.output
 
 
 @pytest.mark.parametrize(
@@ -310,10 +284,8 @@ def _mistype_first_merge(index: dict) -> None:
     [
         (lambda index: index.pop("h1"), "/h1"),
         (lambda index: index.pop("partition"), "/partition"),
-        (lambda index: index.pop("dendrogram"), "/dendrogram"),
-        (_mistype_first_merge, "/dendrogram"),
     ],
-    ids=["no-h1", "no-partition", "no-dendrogram", "mistyped-merge"],
+    ids=["no-h1", "no-partition"],
 )
 def test_index_json_that_does_not_match_is_user_error(tmp_path, env, edit, path):
     out = tmp_path / "bundle"
@@ -548,8 +520,8 @@ def _main(monkeypatch, capsys, *args: str) -> tuple[int, str]:
 
 @pytest.mark.parametrize(
     "args",
-    [("--ts", "-5"), ("--k", "-1"), ("--khop", "-1"), ("--align", "--seed", "-1")],
-    ids=["ts", "k", "khop", "aligned-seed"],
+    [("--ts", "-5"), ("--k", "-1"), ("--khop", "-1")],
+    ids=["ts", "k", "khop"],
 )
 def test_index_with_a_negative_value_is_user_error(tmp_path, env, capsys, args):
     out = tmp_path / "bundle"
@@ -568,6 +540,58 @@ def test_query_with_a_negative_budget_is_user_error(smoke_bundle, env, capsys):
     assert "Invalid value for '--k'" in err
 
 
+def _in_the_format_1_layout(out: Path) -> None:
+    """The layout of format 1: the row ids in vectors.json, the bundle's
+    own gazetteer.json, a seed in the config and no vector row count."""
+    ids = indexed_ids(load_bundle(out).graph)
+    rewrite_member(out, "vectors.json", json.dumps({"ids": ids}).encode())
+    rewrite_member(out, "gazetteer.json", b'["AlphaProc0"]\n')
+
+    def edit(manifest: dict) -> None:
+        manifest["format_version"] = 1
+        manifest["config"]["seed"] = 0
+        del manifest["counts"]["vectors"]
+
+    _edit_manifest_config(out, edit)
+
+
+def _manifest_edit(edit):
+    return lambda out: _edit_manifest_config(out, edit)
+
+
+def _without_h2(out: Path) -> None:
+    index = json.loads((out / "index.json").read_text("utf-8"))
+    del index["h2"]
+    rewrite_member(out, "index.json", json.dumps(index).encode())
+
+
+@pytest.mark.parametrize("command", ["query", "stats"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_in_the_format_1_layout, "error: unknown bundle format version 1"),
+        (_manifest_edit(lambda m: m["counts"].pop("vectors")), "error: /counts/vectors:"),
+        (_manifest_edit(lambda m: m["counts"].update(vectors="41")), "error: /counts/vectors:"),
+        (_manifest_edit(lambda m: m["counts"].update(vectors=-1)), "error: /counts/vectors:"),
+        (_manifest_edit(lambda m: m["counts"].update(vectors=m["counts"]["vectors"] + 1)),
+         "error: /counts/vectors:"),
+        (_without_h2, "error: /h2: index.json h2 is missing"),
+    ],
+    ids=["format-1-layout", "no-vector-count", "string-vector-count",
+         "negative-vector-count", "one-vector-count-too-many", "no-h2"],
+)
+def test_bundle_the_open_cannot_decode_is_user_error(
+    tmp_path, env, capsys, edit, message, command
+):
+    out = tmp_path / "bundle"
+    built = CliRunner().invoke(cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out)])
+    assert built.exit_code == 0, built.output
+    edit(out)
+    code, err = _main(env, capsys, command, str(out), *([QUESTION] if command == "query" else []))
+    assert code == EXIT_USER_ERROR, err
+    assert err.startswith(message), err
+
+
 def test_manifest_config_with_a_negative_value_is_user_error(tmp_path, env):
     out = tmp_path / "bundle"
     runner = CliRunner()
@@ -582,7 +606,7 @@ def test_manifest_config_with_a_negative_value_is_user_error(tmp_path, env):
 
 @pytest.mark.parametrize(
     "member, command",
-    [("manifest.json", "stats"), ("vectors.json", "query")],
+    [("manifest.json", "stats"), ("index.json", "query")],
 )
 def test_bundle_member_that_is_not_utf8_is_user_error(tmp_path, env, member, command):
     """A member other than the manifest gets its checksum fixed up, so

@@ -38,12 +38,6 @@ def make_doc(blocks):
 
 
 def graph_of(fragment) -> TypedGraph:
-    class _Holder:
-        pass
-
-    holder = _Holder()
-    holder.nodes = fragment.nodes
-    holder.edges = fragment.edges
     return merge_units([fragment])
 
 

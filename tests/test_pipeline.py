@@ -82,8 +82,6 @@ ALIGNED_MEMBERS = [
     "nodes.jsonl",
     "edges.jsonl",
     "index.json",
-    "gazetteer.json",
-    "vectors.json",
     "vectors.bin",
     "align.json",
 ]
@@ -104,8 +102,20 @@ def test_flipped_byte_in_a_member_fails_closed(tmp_path, member):
 
 def test_load_reads_each_member_once(tmp_path, monkeypatch):
     """Each member is read once and decoded from the bytes that were
-    checked; none is read again by path."""
+    checked; none is read again by path, and every member the manifest
+    lists reaches a decoder."""
     build(tmp_path, align=True)
+    listed = json.loads((tmp_path / "manifest.json").read_bytes())["checksums"]
+    name_of = {(tmp_path / name).read_bytes(): name for name in [*listed, "manifest.json"]}
+    decoded: Counter = Counter()
+    for decoder in ("_json", "load_graph", "load_vectors", "load_alignment"):
+        original = getattr(pipeline, decoder)
+
+        def recording(*args, _original=original):
+            decoded.update(name_of[a] for a in args if isinstance(a, bytes))
+            return _original(*args)
+
+        monkeypatch.setattr(pipeline, decoder, recording)
     reads: Counter = Counter()
     for method in ("read_bytes", "read_text"):
         original = getattr(Path, method)
@@ -116,7 +126,10 @@ def test_load_reads_each_member_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(Path, method, counting)
     load_bundle(tmp_path)
-    assert reads == Counter({name: 1 for name in ALIGNED_MEMBERS + ["manifest.json"]})
+    assert sorted(listed) == sorted(ALIGNED_MEMBERS)
+    expected = Counter({name: 1 for name in ALIGNED_MEMBERS + ["manifest.json"]})
+    assert reads == expected
+    assert decoded == expected
 
 
 def _jsonl(path: Path) -> list[dict]:
@@ -267,14 +280,16 @@ def _edit_manifest(bundle_dir: Path, edit) -> None:
 
 def test_unknown_format_version_fails_closed(tmp_path):
     build(tmp_path)
-    _edit_manifest(tmp_path, lambda m: m.update(format_version=2))
+    _edit_manifest(
+        tmp_path, lambda m: m.update(format_version=pipeline.BUNDLE_FORMAT_VERSION + 1)
+    )
     with pytest.raises(FormatVersionError):
         load_bundle(tmp_path)
 
 
 def test_manifest_without_vectors_fails_closed(tmp_path):
     build(tmp_path)
-    _edit_manifest(tmp_path, lambda m: m["checksums"].pop("vectors.json"))
+    _edit_manifest(tmp_path, lambda m: m["checksums"].pop("vectors.bin"))
     with pytest.raises(SchemaError):
         load_bundle(tmp_path)
 

@@ -40,6 +40,7 @@ from semrag.query_engine import (
     Route,
     evidence_record,
     index_vectors,
+    indexed_ids,
     retrieval_text,
 )
 from semrag.synth import synthetic_corpus
@@ -90,9 +91,13 @@ def test_retrieval_config_has_only_read_fields():
 
 def test_vectors_must_cover_the_indexable_nodes(built):
     _, bundle, _ = built
-    ids, matrix = bundle.vectors
-    with pytest.raises(SchemaError):
-        QueryEngine(bundle.graph, (ids[:-1], matrix[:-1]))
+    ids = indexed_ids(bundle.graph)
+    indexed = set(INDEXED_TYPES)
+    assert ids == sorted(nid for nid, n in bundle.graph.nodes.items() if n.type in indexed)
+    assert len(bundle.vectors) == len(ids)
+    for rows in (bundle.vectors[:-1], np.vstack([bundle.vectors, bundle.vectors[:1]])):
+        with pytest.raises(SchemaError, match="indexable nodes"):
+            QueryEngine(bundle.graph, rows)
     with pytest.raises(TypeError):
         QueryEngine(bundle.graph)
 
@@ -102,14 +107,14 @@ def test_vectors_of_another_width_fail_closed(built, extra):
     """Rows 279 or 320 wide (a text half plus a topology half) or too
     narrow are refused with SchemaError, not a numpy shape error."""
     _, bundle, _ = built
-    ids, matrix = bundle.vectors
-    assert matrix.shape == (len(ids), EMBED_DIM)
+    matrix = bundle.vectors
+    assert matrix.shape == (len(indexed_ids(bundle.graph)), EMBED_DIM)
     if extra > 0:
-        other = np.hstack([matrix, np.zeros((len(ids), extra))])
+        other = np.hstack([matrix, np.zeros((len(matrix), extra))])
     else:
         other = matrix[:, :extra]
     with pytest.raises(SchemaError):
-        QueryEngine(bundle.graph, (ids, other))
+        QueryEngine(bundle.graph, other)
 
 
 def test_reopened_rows_equal_the_per_node_embedding(tmp_path):
@@ -119,7 +124,7 @@ def test_reopened_rows_equal_the_per_node_embedding(tmp_path):
     build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
     bundle = load_bundle(tmp_path)
     engine = make_engine(bundle)
-    ids = bundle.vectors[0]
+    ids = indexed_ids(bundle.graph)
     assert engine._matrix.shape == (len(ids), EMBED_DIM)
     for row, nid in enumerate(ids):
         want = embed_text(retrieval_text(bundle.graph, nid))
@@ -133,8 +138,9 @@ def test_an_open_engine_shares_the_loaded_rows(tmp_path):
     corpus = synthetic_corpus(n_docs=3, seed=0)
     build_bundle(corpus.docs, corpus.gazetteer, tmp_path)
     bundle = load_bundle(tmp_path)
-    ids, rows = bundle.vectors
-    assert rows.dtype == np.float64 and rows.shape == (len(ids), EMBED_DIM)
+    rows = bundle.vectors
+    assert rows.dtype == np.float64
+    assert rows.shape == (len(indexed_ids(bundle.graph)), EMBED_DIM)
     assert make_engine(bundle)._matrix is rows
     assert make_engine(bundle)._matrix is rows
 
@@ -149,7 +155,7 @@ def test_search_ranks_by_score_then_node_id(built):
 
 def test_nodes_with_equal_text_tie_exactly_in_node_id_order(built):
     corpus, bundle, engine = built
-    ids = bundle.vectors[0]
+    ids = indexed_ids(bundle.graph)
     by_text: dict[str, list[str]] = {}
     for nid in ids:
         by_text.setdefault(retrieval_text(bundle.graph, nid), []).append(nid)
@@ -200,8 +206,8 @@ def indexed_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(indexed_graphs(), st.lists(st.sampled_from(WORDS), max_size=3))
 def test_ranking_equals_a_full_sort_at_every_k(g, words):
-    ids, counts = index_vectors(g)
-    engine = QueryEngine(g, (ids, counts))
+    ids = indexed_ids(g)
+    engine = QueryEngine(g, index_vectors(g))
     matrix = np.array([embed_text(retrieval_text(g, nid)) for nid in ids])
     query = engine.embed_query(" ".join(words))
     for types in RANKED_TYPE_SETS:

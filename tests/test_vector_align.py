@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, rewrite_member
+from conftest import make_graph
+from semrag import vector_align
 from semrag.errors import (
     ChecksumError,
     DimensionMismatch,
@@ -304,11 +305,9 @@ def _matrix(rng, n=6, d=10):
 def test_vectors_round_trip():
     """Counts come back as the unit rows they scale to, bit for bit."""
     rng = np.random.default_rng(11)
-    ids = [f"node{i}" for i in range(6)]
     matrix = _matrix(rng, d=EMBED_DIM)
     matrix[2] = 0
-    back_ids, back = load_vectors(*save_vectors(ids, matrix))
-    assert back_ids == ids
+    back = load_vectors(save_vectors(matrix), len(matrix))
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     want = np.divide(matrix, norms, out=np.zeros(matrix.shape), where=norms > 0)
     assert back.tobytes() == want.tobytes()
@@ -316,11 +315,8 @@ def test_vectors_round_trip():
 
 def test_vectors_bytes_are_stable():
     rng = np.random.default_rng(12)
-    ids = ["a", "b"]
     matrix = _matrix(rng, n=2, d=4)
-    meta, payload = save_vectors(ids, matrix)
-    assert (meta, payload) == save_vectors(ids, matrix)
-    assert json.loads(meta) == {"ids": ids}
+    assert save_vectors(matrix) == save_vectors(matrix)
 
 
 @pytest.fixture(scope="module")
@@ -346,37 +342,47 @@ def test_vectors_detect_payload_tampering(bundle_copy):
         load_bundle(bundle_copy)
 
 
-def test_vectors_reject_unknown_format_version(bundle_copy):
-    """vectors.json holds its ids alone; one that carries a format version,
-    as every earlier format did, is refused."""
-    meta = json.loads((bundle_copy / "vectors.json").read_text("utf-8"))
-    meta["format_version"] = 99
-    rewrite_member(bundle_copy, "vectors.json", json.dumps(meta).encode())
-    with pytest.raises(SchemaError):
-        load_bundle(bundle_copy)
-
-
 def test_vectors_reject_id_count_mismatch(bundle_copy):
-    meta = json.loads((bundle_copy / "vectors.json").read_text("utf-8"))
-    meta["ids"] = meta["ids"][:1]
-    rewrite_member(bundle_copy, "vectors.json", json.dumps(meta).encode())
-    with pytest.raises(SchemaError):
-        load_bundle(bundle_copy)
+    """The manifest's vector row count must be the graph's indexable node
+    count, which orders the rows: one row fewer or more is refused."""
+    path = bundle_copy / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    rows = manifest["counts"]["vectors"]
+    for off in (-1, 1):
+        manifest["counts"]["vectors"] = rows + off
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"{rows + off} vector rows"):
+            load_bundle(bundle_copy)
 
 
 @pytest.mark.parametrize("bad", [0.5, float("nan"), float("inf"), 2.0**31])
 def test_vectors_refuse_counts_that_are_not_int32(bad):
     with pytest.raises(SchemaError):
-        save_vectors(["a", "b"], np.array([[1.0, 0.0], [0.0, bad]]))
+        save_vectors(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_vectors_reject_entries_outside_the_matrix():
-    _, payload = save_vectors(["a", "b"], np.array([[0, 2], [-1, 0]]))
+    payload = save_vectors(np.array([[0, 2], [-1, 0]]))
     with pytest.raises(SchemaError):
-        load_vectors(b'{"ids": ["a"]}', payload)
-    _, wide = save_vectors(["a"], np.eye(1, EMBED_DIM + 1, EMBED_DIM, dtype=int))
+        load_vectors(payload, 1)
+    wide = save_vectors(np.eye(1, EMBED_DIM + 1, EMBED_DIM, dtype=int))
     with pytest.raises(SchemaError):
-        load_vectors(b'{"ids": ["a"]}', wide)
+        load_vectors(wide, 1)
+
+
+def test_vectors_reject_entries_save_vectors_does_not_write():
+    """Only non-zero counts in strictly row-major order decode: a zero
+    count, a repeated cell or a cell out of order is refused."""
+    payload = save_vectors(np.array([[0, 2, 0, 5], [-1, 0, 3, 0]]))
+    assert load_vectors(payload, 2).shape == (2, EMBED_DIM)
+    entries = np.frombuffer(payload, dtype=vector_align._COO).copy()
+    zero, repeated, swapped = entries.copy(), entries.copy(), entries.copy()
+    zero["count"][1] = 0
+    repeated[2] = repeated[1]
+    swapped[[0, 1]] = swapped[[1, 0]]
+    for bad in (zero, repeated, swapped):
+        with pytest.raises(SchemaError, match="row-major"):
+            load_vectors(bad.tobytes(), 2)
 
 
 def test_alignment_round_trip():
