@@ -456,6 +456,58 @@ class FormulaSubgraph:
     constants: dict[str, str] = field(default_factory=dict)  # literal -> node id
 
 
+def _leaf(out: FormulaSubgraph, base: str, prov, node: Union[Var, Const]) -> str:
+    """The one node of a variable name or literal in ``out``, added on
+    first use."""
+    frag = out.fragment
+    if isinstance(node, Var):
+        node_id = out.variables.get(node.name)
+        if node_id is None:
+            node_id = f"{base}:v{node.name}"
+            frag.add_node(Node(node_id, NodeType.VARIABLE, node.name, prov_attrs(prov)))
+            out.variables[node.name] = node_id
+        return node_id
+    node_id = out.constants.get(node.literal)
+    if node_id is None:
+        node_id = f"{base}:k{node.literal}"
+        frag.add_node(Node(node_id, NodeType.CONSTANT, node.literal, prov_attrs(prov)))
+        out.constants[node.literal] = node_id
+    return node_id
+
+
+def _emit(
+    out: FormulaSubgraph, base: str, prov, counter: list[int], node: MathAST
+) -> str:
+    """The node of one subtree in ``out``, operators numbered in preorder
+    from ``counter[0]``."""
+    if isinstance(node, (Var, Const)):
+        return _leaf(out, base, prov, node)
+    index = counter[0]
+    counter[0] += 1
+    node_id = f"{base}:o{index}"
+    if isinstance(node, BinOp):
+        symbol = node.op
+        children = (node.left, node.right)
+    elif isinstance(node, Unary):
+        symbol = node.op
+        children = (node.operand,)
+    elif isinstance(node, Call):
+        symbol = node.name
+        children = node.args
+    else:
+        raise NotAnOperator(f"cannot emit operator for {type(node).__name__}")
+    frag = out.fragment
+    attrs = prov_attrs(prov)
+    attrs["expr"] = print_math(node)
+    frag.add_node(Node(node_id, NodeType.OPERATOR, symbol, attrs))
+    child_ids = [_emit(out, base, prov, counter, child) for child in children]
+    for slot, child_id in enumerate(child_ids):
+        frag.add_edge(child_id, RelationType.OPERAND_OF, node_id, {"slot": slot})
+    for a, b in zip(child_ids, child_ids[1:]):
+        frag.add_edge(a, RelationType.PRECEDES, b)
+    return node_id
+
+
 def compile_formula(doc_id: str, eq: EquationBlock) -> FormulaSubgraph:
     """Compile one equation block into an operator-tree fragment.
 
@@ -463,65 +515,17 @@ def compile_formula(doc_id: str, eq: EquationBlock) -> FormulaSubgraph:
     appears several times maps to one shared node. Operand edges run child
     to parent with an argument slot; sibling operands are chained with
     precedence edges so argument order survives undirected traversal.
+    The emitters are module functions handed their state, so compiling
+    makes no reference cycle and its objects are freed by reference count.
     """
     normalized = normalize_math(eq.math_src)
     ast = parse_math(normalized)
     frag = GraphFragment()
-    base = f"{doc_id}:{eq.id}"
     printed = print_math(ast)
     out = FormulaSubgraph(
         doc_id=doc_id, block_id=eq.id, fragment=frag, root_id="", ast=ast
     )
-    prov = eq.prov
-    counter = [0]
-
-    def leaf(node: MathAST) -> str:
-        if isinstance(node, Var):
-            node_id = out.variables.get(node.name)
-            if node_id is None:
-                node_id = f"{base}:v{node.name}"
-                frag.add_node(
-                    Node(node_id, NodeType.VARIABLE, node.name, prov_attrs(prov))
-                )
-                out.variables[node.name] = node_id
-            return node_id
-        node_id = out.constants.get(node.literal)
-        if node_id is None:
-            node_id = f"{base}:k{node.literal}"
-            frag.add_node(
-                Node(node_id, NodeType.CONSTANT, node.literal, prov_attrs(prov))
-            )
-            out.constants[node.literal] = node_id
-        return node_id
-
-    def emit(node: MathAST) -> str:
-        if isinstance(node, (Var, Const)):
-            return leaf(node)
-        index = counter[0]
-        counter[0] += 1
-        node_id = f"{base}:o{index}"
-        if isinstance(node, BinOp):
-            symbol = node.op
-            children = (node.left, node.right)
-        elif isinstance(node, Unary):
-            symbol = node.op
-            children = (node.operand,)
-        elif isinstance(node, Call):
-            symbol = node.name
-            children = node.args
-        else:
-            raise NotAnOperator(f"cannot emit operator for {type(node).__name__}")
-        attrs = prov_attrs(prov)
-        attrs["expr"] = print_math(node)
-        frag.add_node(Node(node_id, NodeType.OPERATOR, symbol, attrs))
-        child_ids = [emit(child) for child in children]
-        for slot, child_id in enumerate(child_ids):
-            frag.add_edge(child_id, RelationType.OPERAND_OF, node_id, {"slot": slot})
-        for a, b in zip(child_ids, child_ids[1:]):
-            frag.add_edge(a, RelationType.PRECEDES, b)
-        return node_id
-
-    root_id = emit(ast)
+    root_id = _emit(out, f"{doc_id}:{eq.id}", eq.prov, [0], ast)
     if isinstance(ast, (Var, Const)):
         raise NotAnOperator("an equation must contain at least one operator")
     out.root_id = root_id

@@ -370,7 +370,7 @@ def _records(blob: bytes, member: str, keys: dict[str, type]):
     lines = [
         (number, line)
         for number, line in enumerate(blob.decode("utf-8").split("\n"), 1)
-        if line.strip()
+        if line and not line.isspace()
     ]
     for start in range(0, len(lines), _CHUNK):
         chunk = lines[start : start + _CHUNK]

@@ -15,10 +15,19 @@ bytes, failing closed on a missing member, one the build does not write,
 or one that does not match. make_engine wires the loaded graph and
 vectors to the retrieval engine. An aligned build also trains and saves
 the view aligner (align.json); retrieval does not read it.
+
+Opening a bundle, and compiling and minimizing a corpus, run with the
+cyclic garbage collector paused (_CollectorPaused). These phases make
+objects for every node and edge and no reference cycle, so the collector's
+repeated passes over them would free nothing; reference counting frees
+what they drop, as always. A test pins that they leave no cyclic garbage.
+The collector is left as it was found when the phase ends, also when it
+raises.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -214,6 +223,21 @@ class Bundle:
     alignment: Optional[AlignResult] = None
 
 
+class _CollectorPaused:
+    """A block that runs with the cyclic garbage collector disabled, and
+    leaves it enabled or disabled as it was found, also when the block
+    raises. Nothing is collected on the way out: the young generation's
+    next pass, at an allocation after the block, covers what it made."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 @contextmanager
 def _landing(out: Path) -> Iterator[Path]:
     """A fresh directory beside ``out`` to write a bundle into, renamed
@@ -273,14 +297,19 @@ def build_bundle(
     makes clients with a ledger for the ledger file, and returns clients
     without one, as load_bundle does, so that answering from the returned
     bundle holds no memory per question.
+
+    Compiling and minimizing run with the cyclic garbage collector paused:
+    they make no reference cycle, so its passes over the growing graph
+    would free nothing. Its state is restored afterwards, also on error.
     """
     cfg = config or PipelineConfig()
     given = clients
     clients = given or make_clients(offline=cfg.offline, ledger=TokenLedger())
     out = Path(out_dir)
     with _landing(out) as new:
-        graph = compile_corpus(docs, gazetteer)
-        index = sem_minimize(graph)
+        with _CollectorPaused():
+            graph = compile_corpus(docs, gazetteer)
+            index = sem_minimize(graph)
         materialize_macronodes(
             graph,
             index,
@@ -334,62 +363,68 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     manifest's vector row count must be the graph's indexable node count,
     checked before the rows are allocated; the rows are in indexed_ids
     order. The index has an empty dendrogram. Clients made for it keep no
-    token ledger, so that answering from it holds no memory per question."""
-    src = Path(path)
-    manifest = _json((src / "manifest.json").read_bytes())
-    if not isinstance(manifest, dict):
-        raise SchemaError("", "bundle manifest is not a JSON object")
-    if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise FormatVersionError(
-            f"unknown bundle format version {manifest.get('format_version')!r}"
+    token ledger, so that answering from it holds no memory per question.
+
+    The whole open runs with the cyclic garbage collector paused: decoding
+    makes no reference cycle, so its passes over the graph being decoded
+    would free nothing. Its state is restored afterwards, also on error.
+    """
+    with _CollectorPaused():
+        src = Path(path)
+        manifest = _json((src / "manifest.json").read_bytes())
+        if not isinstance(manifest, dict):
+            raise SchemaError("", "bundle manifest is not a JSON object")
+        if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
+            raise FormatVersionError(
+                f"unknown bundle format version {manifest.get('format_version')!r}"
+            )
+        cfg = PipelineConfig.from_json(manifest.get("config"))
+        members = manifest.get("checksums")
+        if not isinstance(members, dict) or not all(
+            isinstance(v, str) for v in members.values()
+        ):
+            raise SchemaError(
+                "/checksums", "bundle manifest holds no member-to-checksum object"
+            )
+        written = _members(cfg)
+        for name in written:
+            if name not in members:
+                raise SchemaError("/checksums", f"bundle manifest lists no {name}")
+        unknown = sorted(members.keys() - set(written))
+        if unknown:
+            raise SchemaError(
+                "/checksums",
+                f"bundle manifest lists members its config does not write: {unknown}",
+            )
+        blobs = {}
+        for name, expected in members.items():
+            blobs[name] = (src / name).read_bytes()
+            if _sha256(blobs[name]) != expected:
+                raise ChecksumError(f"bundle member {name} does not match its checksum")
+        # each member's bytes are dropped once decoded, so that no two copies
+        # of the graph are held at once
+        graph = load_graph(blobs.pop("nodes.jsonl"), blobs.pop("edges.jsonl"))
+        index = _index_from_json(_json(blobs.pop("index.json")), graph)
+        counts = manifest.get("counts")
+        rows = counts.get("vectors") if isinstance(counts, dict) else None
+        indexable = len(indexed_ids(graph))
+        if type(rows) is not int or rows != indexable:
+            raise SchemaError(
+                "/counts/vectors",
+                f"bundle manifest records {rows!r} vector rows, not the graph's "
+                f"{indexable} indexable nodes",
+            )
+        vectors = load_vectors(blobs.pop("vectors.bin"), rows)
+        alignment = load_alignment(blobs.pop("align.json")) if cfg.align else None
+        return Bundle(
+            path=src,
+            graph=graph,
+            index=index,
+            config=cfg,
+            clients=clients or make_clients(offline=cfg.offline),
+            vectors=vectors,
+            alignment=alignment,
         )
-    cfg = PipelineConfig.from_json(manifest.get("config"))
-    members = manifest.get("checksums")
-    if not isinstance(members, dict) or not all(
-        isinstance(v, str) for v in members.values()
-    ):
-        raise SchemaError(
-            "/checksums", "bundle manifest holds no member-to-checksum object"
-        )
-    written = _members(cfg)
-    for name in written:
-        if name not in members:
-            raise SchemaError("/checksums", f"bundle manifest lists no {name}")
-    unknown = sorted(members.keys() - set(written))
-    if unknown:
-        raise SchemaError(
-            "/checksums",
-            f"bundle manifest lists members its config does not write: {unknown}",
-        )
-    blobs = {}
-    for name, expected in members.items():
-        blobs[name] = (src / name).read_bytes()
-        if _sha256(blobs[name]) != expected:
-            raise ChecksumError(f"bundle member {name} does not match its checksum")
-    # each member's bytes are dropped once decoded, so that no two copies
-    # of the graph are held at once
-    graph = load_graph(blobs.pop("nodes.jsonl"), blobs.pop("edges.jsonl"))
-    index = _index_from_json(_json(blobs.pop("index.json")), graph)
-    counts = manifest.get("counts")
-    rows = counts.get("vectors") if isinstance(counts, dict) else None
-    indexable = len(indexed_ids(graph))
-    if type(rows) is not int or rows != indexable:
-        raise SchemaError(
-            "/counts/vectors",
-            f"bundle manifest records {rows!r} vector rows, not the graph's "
-            f"{indexable} indexable nodes",
-        )
-    vectors = load_vectors(blobs.pop("vectors.bin"), rows)
-    alignment = load_alignment(blobs.pop("align.json")) if cfg.align else None
-    return Bundle(
-        path=src,
-        graph=graph,
-        index=index,
-        config=cfg,
-        clients=clients or make_clients(offline=cfg.offline),
-        vectors=vectors,
-        alignment=alignment,
-    )
 
 
 # --- engine assembly --------------------------------------------------------

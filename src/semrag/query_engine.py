@@ -459,8 +459,9 @@ class QueryEngine:
         """Top-k of an index score vector by (-score, node id), over the
         rows of the given node types.
 
-        Every row scoring at least the k-th largest score is kept, so a
-        tie at the cut is decided by node id as a full sort would.
+        The rows scoring above the k-th largest score are sorted; the rows
+        tied at it follow in row order, which is node-id order, so a tie at
+        the cut is decided by node id as a full sort would.
         """
         rows = self._type_rows(types)
         if not len(rows):
@@ -471,15 +472,18 @@ class QueryEngine:
         k = max(k, 0)
         if k == 0:
             return []
+        tied = rows[:0]
         if k < len(rows):
             picked = scores[rows]
             cut = np.partition(picked, len(rows) - k)[len(rows) - k]
-            rows = rows[picked >= cut]
+            above = picked > cut
+            tied = rows[picked == cut][: k - np.count_nonzero(above)]
+            rows = rows[above]
         ranked = sorted(
             ((self._ids[row], float(scores[row])) for row in rows),
             key=lambda pair: (-pair[1], pair[0]),
         )
-        return ranked[:k]
+        return ranked + [(self._ids[row], float(scores[row])) for row in tied]
 
     # -- features and routing --
 
@@ -489,11 +493,12 @@ class QueryEngine:
 
         An empty index reads as maximally uncertain.
         """
-        try:
-            hits = self._rank(scores, HIT_ENTROPY_TOP)
-        except EmptyIndex:
+        n = len(scores)
+        if not n:
             return math.log2(HIT_ENTROPY_TOP)
-        top = np.array([s for _, s in hits], dtype=np.float64)
+        k = min(HIT_ENTROPY_TOP, n)
+        # descending, as _rank orders them, so the softmax sums in that order
+        top = np.sort(np.partition(scores, n - k)[n - k :])[::-1]
         exp = np.exp(top - top.max())
         return float(shannon(exp / exp.sum()))
 

@@ -13,11 +13,13 @@ root of a checkout:
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,10 @@ from semrag.pipeline import (
     load_bundle,
     make_engine,
 )
+from semrag.sem_index import sem_minimize
 from semrag.synth import synthetic_corpus
+
+from conftest import rewrite_member
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_ANSWERS = GOLDEN / "answers_plain.json"
@@ -326,6 +331,90 @@ def test_a_build_compiles_each_gazetteer_pattern_once(monkeypatch):
     compile_corpus(corpus.docs, surfaces)
     assert len(patterns) > 512
     assert {p: compiled[p] for p in patterns} == {p: 1 for p in patterns}
+
+
+# --- the cyclic collector -------------------------------------------------------
+
+@contextmanager
+def _collector(enabled: bool):
+    """The block runs with the cyclic collector enabled or disabled, and
+    the collector is put back as it was."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _bad_node_type(out: Path) -> None:
+    lines = (out / "nodes.jsonl").read_bytes().splitlines()
+    first = json.loads(lines[0])
+    first["type"] = "Gadget"
+    rewrite_member(out, "nodes.jsonl", b"\n".join([json.dumps(first).encode(), *lines[1:]]))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_build_and_load_leave_the_collector_as_they_found_it(tmp_path, enabled):
+    out = tmp_path / "bundle"
+    with _collector(enabled):
+        build(out)
+        assert gc.isenabled() is enabled
+        load_bundle(out)
+        assert gc.isenabled() is enabled
+        _bad_node_type(out)
+        with pytest.raises(SchemaError, match="/1/type"):
+            load_bundle(out)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("failing", ["save_vectors", "sem_minimize"])
+def test_a_failed_build_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, enabled, failing
+):
+    """save_vectors fails after the paused phase, sem_minimize inside it."""
+    monkeypatch.setattr(pipeline, failing, _disk_full)
+    with _collector(enabled):
+        with pytest.raises(OSError, match="disk full"):
+            build(tmp_path / "bundle")
+        assert gc.isenabled() is enabled
+
+
+def test_an_open_runs_no_collection(bundle50):
+    """The open runs with the collector paused. A collection first empties
+    the young generation, so that none falls due on the way in."""
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    with _collector(True):
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            load_bundle(bundle50.path)
+        finally:
+            gc.callbacks.remove(count)
+    assert collections == []
+
+
+def test_compiling_minimizing_and_opening_make_no_reference_cycle(corpus50, bundle50):
+    """What pausing the collector rests on: the paused phases leave nothing
+    that only a collection could free. A closure that calls itself, as
+    compile_formula's emitter once did, would leave each equation's
+    fragment behind."""
+    with _collector(False):
+        gc.collect()
+        graph = compile_corpus(corpus50.docs, corpus50.gazetteer)
+        index = sem_minimize(graph)
+        assert gc.collect() == 0
+        del graph, index
+        bundle = load_bundle(bundle50.path)
+        engine = make_engine(bundle)
+        assert gc.collect() == 0
+        del bundle, engine
 
 
 def _write_golden() -> None:
