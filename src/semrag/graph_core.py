@@ -4,7 +4,10 @@ The compilers emit GraphFragment values (typed nodes and edges with
 provenance in their attribute maps). merge_units folds fragments into one
 TypedGraph, unifying Term nodes that share a normalized surface form across
 documents. Edges are stored directed and typed but projected to undirected
-form for degrees, volumes, and K-hop traversal.
+form for degrees, volumes, and K-hop traversal. K-hop traversal reads
+each node's neighbours over a set of relations from a memo on the graph,
+worked out the first time the node is expanded over that set; adding a
+node or an edge drops the whole memo.
 
 Node ids are namespaced by document ("{doc}:{block}" and suffixes); unified
 terms live under the corpus-wide "term:{key}" namespace; macro nodes under
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -129,6 +131,8 @@ class TypedGraph:
 
     ``edges`` lists every edge in the order it was added; ``out_edges`` and
     ``in_edges`` list each node's edges, the same objects, in that order.
+    Nodes and edges are added through add_node and add_edge, which drop
+    khop_expand's neighbour memo.
     """
 
     def __init__(self) -> None:
@@ -136,6 +140,9 @@ class TypedGraph:
         self.edges: list[Edge] = []
         self.out_edges: dict[str, list[Edge]] = {}
         self.in_edges: dict[str, list[Edge]] = {}
+        # khop_expand's memo: allowed relations -> node -> its sorted
+        # distinct neighbours over them, both directions, itself excluded
+        self._neighbours: dict[frozenset[RelationType], dict[str, tuple[str, ...]]] = {}
 
     def add_node(self, node: Node) -> None:
         existing = self.nodes.get(node.id)
@@ -149,6 +156,8 @@ class TypedGraph:
                     f"node id {node.id!r} claimed by two distinct payloads"
                 )
             return
+        if self._neighbours:
+            self._neighbours.clear()
         self.nodes[node.id] = node
         self.out_edges[node.id] = []
         self.in_edges[node.id] = []
@@ -159,6 +168,8 @@ class TypedGraph:
                 f"edge {edge.src!r} -{edge.rel.value}-> {edge.dst!r} "
                 "references a missing endpoint"
             )
+        if self._neighbours:
+            self._neighbours.clear()
         self.edges.append(edge)
         self.out_edges[edge.src].append(edge)
         self.in_edges[edge.dst].append(edge)
@@ -171,11 +182,9 @@ class TypedGraph:
                 yield edge
 
     def degree(self, node_id: str) -> int:
-        # undirected projection: parallel edges counted, self-loops count 2
-        d = 0
-        for edge in self.incident_edges(node_id):
-            d += 2 if edge.src == edge.dst else 1
-        return d
+        # undirected projection: parallel edges counted, and a self-loop,
+        # which sits in both lists, counts 2
+        return len(self.out_edges[node_id]) + len(self.in_edges[node_id])
 
     def nodes_of_type(self, node_type: NodeType) -> list[Node]:
         return [n for n in self.nodes.values() if n.type == node_type]
@@ -278,37 +287,61 @@ def khop_expand(
 ) -> Subgraph:
     """Breadth-first ball of radius k over allowed relations, both directions.
 
-    Deterministic: each frontier is processed in ascending node id order and
-    the node budget cuts the final frontier in that same order. Anchors not
-    in the graph are ignored. Only the members' own adjacency lists are
-    read, so the cost follows the ball, not the graph. `allowed` may be
-    any collection of relations: it is read once into a tuple, and each
-    edge's relation is compared against it by identity, never hashed.
+    Deterministic: the anchors form level 0 in ascending node id order; each
+    level is expanded in the order its members were reached, each member
+    adding its not yet reached neighbours in ascending node id order, and
+    the node budget cuts the final level in that same order. Anchors not in
+    the graph are ignored.
+
+    Each node's neighbours over `allowed` come from the graph's memo, keyed
+    by ``frozenset(allowed)``: `allowed` may be any collection of relations,
+    and is hashed once per call, to key the memo. A node's entry is worked
+    out from its own adjacency lists the first time it is expanded, so the
+    cost follows the ball, not the graph, and later calls reuse it.
+    add_node and add_edge drop the memo.
     """
     valid = sorted(a for a in anchors if a in g.nodes)
     if not valid:
         raise EmptyAnchors("k-hop expansion requires at least one anchor node")
-    allowed = tuple(allowed)
-    hops: dict[str, int] = {a: 0 for a in valid}
-    frontier = deque(valid)
-    while frontier:
-        current = frontier.popleft()
-        depth = hops[current]
-        if depth >= k:
-            continue
-        neighbors = set()
-        for edge in g.out_edges[current]:
-            if edge.rel in allowed and edge.dst not in hops:
-                neighbors.add(edge.dst)
-        for edge in g.in_edges[current]:
-            if edge.rel in allowed and edge.src not in hops:
-                neighbors.add(edge.src)
-        for other in sorted(neighbors):
-            if len(hops) >= budget:
-                break
-            hops[other] = depth + 1
-            frontier.append(other)
-    return Subgraph(nodes=sorted(hops, key=lambda n: (hops[n], n)), hops=hops)
+    key = frozenset(allowed)
+    memo = g._neighbours.get(key)
+    if memo is None:
+        memo = g._neighbours[key] = {}
+    hops: dict[str, int] = dict.fromkeys(valid, 0)
+    levels = [valid]
+    level = valid
+    for depth in range(1, k + 1):
+        if len(hops) >= budget:
+            break
+        reached: list[str] = []
+        for current in level:
+            neighbours = memo.get(current)
+            if neighbours is None:
+                neighbours = memo[current] = _neighbours(g, current, key)
+            for other in neighbours:
+                if other not in hops:
+                    if len(hops) >= budget:
+                        break
+                    hops[other] = depth
+                    reached.append(other)
+        if not reached:
+            break
+        levels.append(sorted(reached))
+        level = reached
+    return Subgraph(nodes=[nid for level in levels for nid in level], hops=hops)
+
+
+def _neighbours(
+    g: TypedGraph, node_id: str, allowed: frozenset[RelationType]
+) -> tuple[str, ...]:
+    """The node's distinct neighbours over allowed relations, both
+    directions, itself excluded, in ascending id order. Each edge's relation
+    is compared against a tuple of them by identity, never hashed."""
+    rels = tuple(allowed)
+    found = {e.dst for e in g.out_edges[node_id] if e.rel in rels}
+    found.update(e.src for e in g.in_edges[node_id] if e.rel in rels)
+    found.discard(node_id)
+    return tuple(sorted(found))
 
 
 # --- persistence ------------------------------------------------------------

@@ -12,7 +12,11 @@ records that carry full provenance:
 The query text is embedded once and scored once per retrieval: one
 product of the index matrix with the query gives a score per indexed
 node, and the hit-entropy feature, the med route's vector anchors and
-candidates, and the chosen strategy all read that one vector. The gazetteer, compiled
+candidates, and the chosen strategy all read that one vector. The med
+route works out each node's expansion neighbours (khop_expand's memo on
+the graph) and its candidate form (QueryEngine._form) once, the first time
+a ball holds it, so it embeds each unindexed operator once per engine,
+not once per question. The gazetteer, compiled
 once per engine, is matched once per retrieval too; the entity-count
 feature and the med route's term anchors share the result. That match
 runs only the patterns of surfaces whose longest word is one of the
@@ -29,13 +33,14 @@ that llm_clients.OfflineLlmClient parses back.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -350,6 +355,10 @@ class _Question:
     surfaces: set[str]  # the surfaces that mention them
 
 
+# a node's med-route candidate form: see QueryEngine._form
+_Form = Union[int, np.ndarray, None]
+
+
 def _entity_count(text: str, terms: set[str], surfaces: set[str]) -> int:
     """Known-term mentions plus all-caps tokens the gazetteer missed."""
     known = {s.lower() for s in surfaces}
@@ -398,6 +407,8 @@ class QueryEngine:
         self._matrix = matrix if matrix.dtype == np.float64 else unit_rows(matrix)
         # index rows of each type set ranked so far, ascending (so in id order)
         self._rows: dict[Optional[frozenset[NodeType]], np.ndarray] = {}
+        # the med route's candidate form of each node a ball has held
+        self._forms: dict[str, _Form] = {}
         self._term_of: dict[str, str] = {}
         for node in g.nodes_of_type(NodeType.TERM):
             surfaces = set(node.attrs.get("surfaces", [])) | {node.text}
@@ -575,6 +586,20 @@ class QueryEngine:
                     break
         return anchors
 
+    def _form(self, nid: str) -> _Form:
+        """How the med route scores a node: by its index row, by the
+        embedding of an unindexed operator's expr, or not at all (None) if
+        the node cannot become evidence."""
+        node = self.g.nodes[nid]
+        if node.type not in VERBALIZABLE_TYPES:
+            return None
+        if node.type is NodeType.OPERATOR and "expr" not in node.attrs:
+            return None
+        row = self._row_of.get(nid)
+        if row is None:
+            return embed_text(retrieval_text(self.g, nid))
+        return row
+
     def _retrieve_med(self, q: _Question) -> list[EvidenceRecord]:
         anchors = self._anchors(q)
         if not anchors:
@@ -582,28 +607,28 @@ class QueryEngine:
         subgraph = khop_expand(
             self.g, set(anchors), self.config.khop, EXPAND_RELATIONS
         )
-        hops = subgraph.hops
-        indexed, rows, candidates = [], [], []
+        hops, forms = subgraph.hops, self._forms
+        # candidates keyed (-score, hop, id): ids make every key distinct,
+        # so the budget smallest are the fully sorted list's prefix
+        keys, indexed, rows = [], [], []
         for nid in subgraph.nodes:
-            node = self.g.nodes[nid]
-            if node.type not in VERBALIZABLE_TYPES:
+            try:
+                form = forms[nid]
+            except KeyError:
+                form = forms[nid] = self._form(nid)
+            if form is None:
                 continue
-            if node.type is NodeType.OPERATOR and "expr" not in node.attrs:
-                continue
-            row = self._row_of.get(nid)
-            if row is None:
-                score = float(embed_text(retrieval_text(self.g, nid)) @ q.query)
-                candidates.append((nid, score, hops[nid]))
-            else:
+            if type(form) is int:
                 indexed.append(nid)
-                rows.append(row)
+                rows.append(form)
+            else:
+                keys.append((-float(form @ q.query), hops[nid], nid))
         # indexed candidates read the question's one score product
-        for nid, score in zip(indexed, q.scores[rows].tolist()):
-            candidates.append((nid, score, hops[nid]))
-        candidates.sort(key=lambda c: (-c[1], c[2], c[0]))
+        for nid, negated in zip(indexed, (-q.scores[rows]).tolist()):
+            keys.append((negated, hops[nid], nid))
         return [
-            evidence_record(self.g, nid, score, Route.MED, hop)
-            for nid, score, hop in candidates[: self.config.budget]
+            evidence_record(self.g, nid, -negated, Route.MED, hop)
+            for negated, hop, nid in heapq.nsmallest(self.config.budget, keys)
         ]
 
     def _retrieve_high(self, q: _Question) -> list[EvidenceRecord]:

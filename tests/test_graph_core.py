@@ -93,6 +93,15 @@ def test_volume_is_twice_edge_count(seed):
     assert sum(d for _, d in degree_vector(g)) == volume(g)
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_degree_counts_the_incident_edges(seed):
+    # parallel edges count once each, and a self-loop, listed once, twice
+    g, _, _ = random_graph(seed, n_max=20, allow_loops=True)
+    for nid in g.nodes:
+        incident = g.incident_edges(nid)
+        assert g.degree(nid) == sum(2 if e.src == e.dst else 1 for e in incident)
+
+
 # ---------------------------------------------------------------------------
 # term normalization and unit merging
 
@@ -279,27 +288,35 @@ def test_khop_hops_match_a_plain_bfs(graph_spec, allowed, k, budget):
     g = TypedGraph()
     for i in range(n):
         g.add_node(_para(f"n{i}"))
-    neighbors: dict[str, set[str]] = {f"n{i}": set() for i in range(n)}
+    for u, v, rel in edges:
+        g.add_edge(Edge(f"n{u}", f"n{v}", rel))
+    anchors = {f"n{i}" for i in anchor_indices}
+    sub = _expand_as_a_plain_bfs(g, edges, anchors, k, allowed, budget)
+    # relations are compared by identity, so any collection of them serves
+    for given_as in (frozenset, tuple):
+        assert khop_expand(g, anchors, k, given_as(allowed), budget=budget) == sub
+
+
+def _expand_as_a_plain_bfs(g, edges, anchors, k, allowed, budget):
+    """khop_expand's ball, checked against a plain BFS over the edge list
+    (u, v, rel) of g, whose nodes are n0, n1, ...: the same hops when the
+    ball fits the budget, and the BFS distances of what it keeps when not."""
+    neighbors: dict[str, set[str]] = {nid: set() for nid in g.nodes}
     for u, v, rel in edges:
         src, dst = f"n{u}", f"n{v}"
-        g.add_edge(Edge(src, dst, rel))
         if rel in allowed:
             neighbors[src].add(dst)
             neighbors[dst].add(src)
-    anchors = {f"n{i}" for i in anchor_indices}
     reference = {a: 0 for a in anchors}
     level = sorted(anchors)
     for hop in range(1, k + 1):
         level = sorted({o for nid in level for o in neighbors[nid]} - reference.keys())
         reference.update((nid, hop) for nid in level)
     sub = khop_expand(g, anchors, k, allowed, budget=budget)
-    # relations are compared by identity, so any collection of them serves
-    for given_as in (frozenset, tuple):
-        assert khop_expand(g, anchors, k, given_as(allowed), budget=budget) == sub
     assert sub.nodes == sorted(sub.hops, key=lambda nid: (sub.hops[nid], nid))
     if len(reference) <= budget:
         assert sub.hops == reference
-        return
+        return sub
     # the budget cut the ball: anchors always stay, and every member keeps
     # its BFS distance, reached through a member one hop nearer
     assert anchors <= set(sub.nodes)
@@ -310,6 +327,44 @@ def test_khop_hops_match_a_plain_bfs(graph_spec, allowed, k, budget):
             assert any(sub.hops.get(o) == hop - 1 for o in neighbors[nid])
     deepest = max(sub.hops.values())
     assert {nid for nid, hop in reference.items() if hop < deepest} <= set(sub.nodes)
+    return sub
+
+
+@given(st.integers(1, 6), st.data())
+def test_khop_memo_follows_the_nodes_and_edges_added_between_calls(n, data):
+    """One graph for the whole example: expansions over any collection of
+    relations, with nodes and edges added between them, each equal to a
+    plain BFS and to the ball of a graph built afresh."""
+    g = TypedGraph()
+    for i in range(n):
+        g.add_node(_para(f"n{i}"))
+    edges: list[tuple[int, int, RelationType]] = []
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        step = data.draw(st.sampled_from(("expand", "expand", "node", "edge")))
+        if step == "node":
+            g.add_node(_para(f"n{n}"))
+            n += 1
+        elif step == "edge":
+            edge = data.draw(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                          st.sampled_from(_KHOP_RELATIONS)),
+                label="edge",
+            )
+            g.add_edge(Edge(f"n{edge[0]}", f"n{edge[1]}", edge[2]))
+            edges.append(edge)
+        else:
+            anchors = {f"n{i}" for i in data.draw(
+                st.sets(st.integers(0, n - 1), min_size=1), label="anchors")}
+            k = data.draw(st.integers(0, 4), label="k")
+            budget = data.draw(st.integers(1, 12), label="budget")
+            allowed = data.draw(
+                st.sets(st.sampled_from(_KHOP_RELATIONS), min_size=1), label="allowed")
+            given_as = data.draw(st.sampled_from((frozenset, tuple, set)))
+            sub = _expand_as_a_plain_bfs(g, edges, anchors, k, given_as(allowed), budget)
+            fresh = make_graph(n, [])
+            for u, v, rel in edges:
+                fresh.add_edge(Edge(f"n{u}", f"n{v}", rel))
+            assert khop_expand(fresh, anchors, k, allowed, budget=budget) == sub
 
 
 # ---------------------------------------------------------------------------
