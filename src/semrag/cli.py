@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from .doc_model import canonical_json_bytes, load_document
+from .doc_model import canonical_json_bytes, decode_json, load_document
 from .errors import (
     ChecksumError,
     EmptyGraph,
@@ -107,7 +107,7 @@ def _read_corpus(corpus_dir: Path) -> tuple[list, list[str]]:
     gazetteer: list[str] = []
     for path in sorted(corpus_dir.glob("*.json")):
         if path.name == "gazetteer.json":
-            terms = json.loads(path.read_text("utf-8"))
+            terms = decode_json(path.read_text("utf-8"), "gazetteer.json")
             if type(terms) is not list:
                 raise SchemaError("", "gazetteer.json is not a JSON array of strings")
             for i, term in enumerate(terms):

@@ -195,6 +195,17 @@ def serialize(doc: SourceDocument) -> bytes:
     return canonical_json_bytes(doc.to_json())
 
 
+def decode_json(text: str, what: str, path: str = "") -> Any:
+    """json.loads(text), except that a value nested deeper than the decoder
+    can recurse raises SchemaError at ``path``, naming ``what``, rather
+    than RecursionError. Text that is not JSON still raises
+    json.JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError(path, f"{what} nests values too deeply to decode") from None
+
+
 # --- strict schema walking --------------------------------------------------
 
 def _require_keys(obj: dict, keys: tuple[str, ...], path: str) -> None:
@@ -345,7 +356,7 @@ def load_document(data: Union[bytes, str]) -> SourceDocument:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        obj = json.loads(data)
+        obj = decode_json(data, "document")
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from exc
     _require_keys(obj, ("id", "blocks", "reading_order"), "")

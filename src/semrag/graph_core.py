@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import json
 import logging
+import marshal
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from itertools import compress, count, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
-from .doc_model import Provenance, canonical_json_bytes
+from .doc_model import Provenance, canonical_json_bytes, decode_json
 from .errors import EmptyAnchors, IdCollisionError, SchemaError
 
 logger = logging.getLogger(__name__)
@@ -132,7 +135,8 @@ class TypedGraph:
     ``edges`` lists every edge in the order it was added; ``out_edges`` and
     ``in_edges`` list each node's edges, the same objects, in that order.
     Nodes and edges are added through add_node and add_edge, which drop
-    khop_expand's neighbour memo.
+    khop_expand's neighbour memo; only load_graph fills a new graph's
+    fields directly.
     """
 
     def __init__(self) -> None:
@@ -374,99 +378,199 @@ def save_graph(g: TypedGraph) -> tuple[bytes, bytes]:
 
 _NODE_KEYS = {"id": str, "type": str, "text": str, "attrs": dict}
 _EDGE_KEYS = {"src": str, "dst": str, "rel": str, "attrs": dict}
+_NODE_TYPES = {kind.value: kind for kind in NodeType}
+_RELATION_TYPES = {rel.value: rel for rel in RelationType}
 
 # lines parsed per json.loads call; json keeps one string per key within a call
 _CHUNK = 1024
 
 
-def _values(chunk: list[tuple[int, str]]):
-    """The JSON value on each numbered line of a chunk.
+def _chunks(blob: bytes, member: str) -> Iterator[tuple[list[int], list]]:
+    """The non-blank lines of a JSONL member, _CHUNK at a time: their
+    numbers, counted from 1, and the JSON value on each.
 
-    The chunk is parsed as one array. If that fails, or gives other than
-    one value per line (a line holding two values), it is parsed line by
-    line, lazily, so that the line at fault raises what it raises alone.
+    A chunk is parsed as one array. If that fails, or gives other than one
+    value per line (a line holding two values), each of its lines is
+    parsed alone, and a line that does not parse holds the exception its
+    parse raised, for the checks to raise in line order.
     """
-    try:
-        values = json.loads("[" + ",".join(line for _, line in chunk) + "]")
-    except (ValueError, RecursionError):  # the array nests one level deeper
-        values = None
-    if values is None or len(values) != len(chunk):
-        return (json.loads(line) for _, line in chunk)
-    return values
-
-
-def _records(blob: bytes, member: str, keys: dict[str, type]):
-    """Each non-blank line of a JSONL member, numbered from 1, as an object
-    holding keys of the given types; anything else raises SchemaError."""
-    names, kinds = tuple(keys), tuple(keys.values())
     # decoded once: canonical JSON escapes every newline inside a string
-    lines = [
-        (number, line)
-        for number, line in enumerate(blob.decode("utf-8").split("\n"), 1)
-        if line and not line.isspace()
-    ]
-    for start in range(0, len(lines), _CHUNK):
-        chunk = lines[start : start + _CHUNK]
-        for (number, _), obj in zip(chunk, _values(chunk)):
-            if type(obj) is not dict:
-                raise SchemaError(f"/{number}", f"{member} line {number} is not a JSON object")
-            if tuple(map(type, map(obj.get, names))) != kinds:
-                key = next(k for k in names if type(obj.get(k)) is not keys[k])
+    lines = blob.decode("utf-8").split("\n")
+    # a blank line strips to nothing; strip gives any other canonical line
+    # back as it is, without a copy
+    numbers = list(compress(count(1), map(str.strip, lines)))
+    for start in range(0, len(numbers), _CHUNK):
+        chunk = numbers[start : start + _CHUNK]
+        texts = [lines[n - 1] for n in chunk]
+        try:
+            values = json.loads("[" + ",".join(texts) + "]")
+        except (ValueError, RecursionError):  # the array nests one level deeper
+            values = None
+        if values is None or len(values) != len(texts):
+            values = [_line_value(member, n, text) for n, text in zip(chunk, texts)]
+        yield chunk, values
+
+
+def _line_value(member: str, number: int, text: str):
+    try:
+        return decode_json(text, f"{member} line {number}", f"/{number}")
+    except (ValueError, SchemaError) as exc:
+        return exc
+
+
+def _columns(values: list, keys: dict[str, type]) -> Optional[list]:
+    """One column per key over a chunk's values, or None unless every
+    value is an object holding each key with a value of exactly its type."""
+    try:
+        rows = list(map(itemgetter(*keys), values))
+    except (KeyError, TypeError):  # a value that is no object, or lacks a key
+        return None
+    columns = list(zip(*rows))
+    for column, kind in zip(columns, keys.values()):
+        if set(map(type, column)) != {kind}:
+            return None
+    return columns
+
+
+def _share(attrs: Sequence[dict], provs: dict[bytes, object]) -> None:
+    """Point the prov of each attrs holding one at the dict kept for its
+    marshal encoding (version 2, which writes no back-references). On JSON
+    values that encoding is equal exactly where repr is, which keeps 1, 1.0
+    and True apart, and it is faster to make than repr of floats."""
+    holders = [a for a in attrs if "prov" in a]
+    found = list(map(itemgetter("prov"), holders))
+    keys = map(marshal.dumps, found, repeat(2))
+    for holder, prov in zip(holders, map(provs.setdefault, keys, found)):
+        holder["prov"] = prov
+
+
+def _node_chunk(values: list, nodes: dict[str, Node], provs: dict) -> Optional[dict[str, Node]]:
+    """The nodes of a chunk's values that the graph lacks, by id in line
+    order, checked and built column by column; None if a line fails a
+    check. An id given again with an equal payload is kept once."""
+    columns = _columns(values, _NODE_KEYS)
+    if columns is None:
+        return None
+    ids, types, texts, attrs = columns
+    kinds = list(map(_NODE_TYPES.get, types))
+    if None in kinds:
+        return None
+    _share(attrs, provs)
+    built = list(map(Node, ids, kinds, texts, attrs))
+    fresh = dict(zip(ids, built))
+    if len(fresh) == len(built) and nodes.keys().isdisjoint(fresh):
+        return fresh
+    fresh = {}
+    for node in built:
+        first = nodes.get(node.id) or fresh.setdefault(node.id, node)
+        if (first.type, first.text, first.attrs) != (node.type, node.text, node.attrs):
+            return None
+    return {node_id: node for node_id, node in fresh.items() if node_id not in nodes}
+
+
+def _add_edges(graph: TypedGraph, values: list, ids: dict[str, str], provs: dict) -> bool:
+    """Add the edges of a chunk's values to the graph in line order, their
+    endpoints the graph's own id strings, checked and built column by
+    column; False, adding none, if a line fails a check."""
+    columns = _columns(values, _EDGE_KEYS)
+    if columns is None:
+        return False
+    srcs, dsts, rels, attrs = columns
+    srcs, dsts = list(map(ids.get, srcs)), list(map(ids.get, dsts))
+    rels = list(map(_RELATION_TYPES.get, rels))
+    if None in rels or None in srcs or None in dsts:
+        return False
+    _share(attrs, provs)
+    edges = list(map(Edge, srcs, dsts, rels, attrs))
+    graph.edges += edges
+    out_edges, in_edges = graph.out_edges, graph.in_edges
+    for src, dst, edge in zip(srcs, dsts, edges):
+        out_edges[src].append(edge)
+        in_edges[dst].append(edge)
+    return True
+
+
+def _raise_first_fault(
+    member: str, numbers: list[int], values: list, keys: dict[str, type], check
+) -> NoReturn:
+    """Raise what the earliest bad line of a chunk raises: its parse
+    error, or SchemaError for a value that is no object, a key missing or
+    of another type, or whatever ``check`` finds in the record. Each line
+    is checked whole before the next."""
+    for number, obj in zip(numbers, values):
+        if isinstance(obj, Exception):
+            raise obj
+        if type(obj) is not dict:
+            raise SchemaError(f"/{number}", f"{member} line {number} is not a JSON object")
+        for key, kind in keys.items():
+            if type(obj.get(key)) is not kind:
                 raise SchemaError(
                     f"/{number}/{key}",
-                    f"{member} line {number} {key} is missing or not {keys[key].__name__}",
+                    f"{member} line {number} {key} is missing or not {kind.__name__}",
                 )
-            yield number, obj
-
-
-_NODE_TYPES = {kind.value: kind for kind in NodeType}
-_RELATION_TYPES = {rel.value: rel for rel in RelationType}
+        check(number, obj)
+    raise AssertionError(f"{member}: a chunk failed a check that none of its lines fails")
 
 
 def load_graph(nodes_blob: bytes, edges_blob: bytes) -> TypedGraph:
     """The graph save_graph encoded as these two blobs, its edges in line
-    order. A line that is not such a record, an edge to no node, or a node
-    id given two payloads raises SchemaError. Keys a line holds beyond its
-    record's are ignored, such as the ``id`` that edge lines once carried.
+    order. A line that is not such a record, an edge to no node, a node id
+    given two payloads, or a value nested too deeply to decode raises
+    SchemaError; a line that is not JSON raises json.JSONDecodeError. Keys
+    a line holds beyond its record's are ignored, such as the ``id`` that
+    edge lines once carried.
+
+    Each chunk of _CHUNK lines is decoded by one json.loads call, then
+    checked and built a column at a time, with no call per record. Only a
+    chunk that fails a check is gone through line by line, to raise what
+    its earliest bad line raises.
 
     The graph holds one object per distinct value where the encoding
     repeats it: an edge's src and dst are the id strings that key
-    ``graph.nodes``, and nodes and edges whose ``attrs["prov"]`` are equal
-    (by ``repr``, which keeps 1, 1.0 and True apart) share one provenance
-    dict. So a loaded graph's attrs are read-only: a change to one
+    ``graph.nodes``, and nodes and edges whose ``attrs["prov"]`` encode
+    alike (see _share, which keeps 1, 1.0 and True apart) share one
+    provenance dict. So a loaded graph's attrs are read-only: a change to one
     provenance would change every node and edge that shares it.
     """
     graph = TypedGraph()
-    provs: dict[str, object] = {}
+    nodes = graph.nodes
+    provs: dict[bytes, object] = {}
 
-    def shared(attrs: dict) -> dict:
-        if "prov" in attrs:
-            attrs["prov"] = provs.setdefault(repr(attrs["prov"]), attrs["prov"])
-        return attrs
-
-    for number, obj in _records(nodes_blob, "nodes.jsonl", _NODE_KEYS):
+    # the per-line checks of a rejected chunk add its lines one by one, as
+    # add_node and add_edge do, to raise what the first bad line raises
+    def check_node(number: int, obj: dict) -> None:
         kind = _NODE_TYPES.get(obj["type"])
         if kind is None:
             raise SchemaError(
                 f"/{number}/type", f"nodes.jsonl holds an unknown type {obj['type']!r}"
             )
         try:
-            graph.add_node(Node(obj["id"], kind, obj["text"], shared(obj["attrs"])))
+            graph.add_node(Node(obj["id"], kind, obj["text"], obj["attrs"]))
         except IdCollisionError as exc:
             raise SchemaError(f"/{number}", f"nodes.jsonl line {number}: {exc}") from None
-    ids = {node_id: node_id for node_id in graph.nodes}
-    for number, obj in _records(edges_blob, "edges.jsonl", _EDGE_KEYS):
+
+    def check_edge(number: int, obj: dict) -> None:
         rel = _RELATION_TYPES.get(obj["rel"])
         if rel is None:
             raise SchemaError(
                 f"/{number}/rel", f"edges.jsonl holds an unknown rel {obj['rel']!r}"
             )
-        src, dst = obj["src"], obj["dst"]
-        edge = Edge(ids.get(src, src), ids.get(dst, dst), rel, shared(obj["attrs"]))
         try:
-            graph.add_edge(edge)
+            graph.add_edge(Edge(obj["src"], obj["dst"], rel, obj["attrs"]))
         except ValueError as exc:  # no such endpoint
             raise SchemaError(f"/{number}", f"edges.jsonl line {number}: {exc}") from None
+
+    for numbers, values in _chunks(nodes_blob, "nodes.jsonl"):
+        fresh = _node_chunk(values, nodes, provs)
+        if fresh is None:
+            _raise_first_fault("nodes.jsonl", numbers, values, _NODE_KEYS, check_node)
+        nodes.update(fresh)
+    ids = dict(zip(nodes, nodes))
+    graph.out_edges = {node_id: [] for node_id in nodes}
+    graph.in_edges = {node_id: [] for node_id in nodes}
+    for numbers, values in _chunks(edges_blob, "edges.jsonl"):
+        if not _add_edges(graph, values, ids, provs):
+            _raise_first_fault("edges.jsonl", numbers, values, _EDGE_KEYS, check_edge)
     return graph
 
 

@@ -22,7 +22,7 @@ import _sre
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 try:
     from re._casefix import _EXTRA_CASES
@@ -91,6 +91,25 @@ _IOTA_CLASS = re.compile("[\u0345\u0399\u03b9\u1fbe]")
 _WORD = re.compile(r"\w+")
 
 
+class _FoldTable(dict):
+    """str.translate's table for _fold: each code point to the least
+    member of its re.IGNORECASE class, worked out the first time it is
+    met. Only code points that fold to another are kept, so the table
+    never outgrows Unicode's case mappings; for any other, LookupError
+    tells translate to keep it as it is."""
+
+    def __missing__(self, code: int) -> int:
+        low = _sre.unicode_tolower(code)
+        folded = min((low,) + _EXTRA_CASES.get(low, ()))
+        if folded == code:
+            raise LookupError(code)
+        self[code] = folded
+        return folded
+
+
+_FOLD = _FoldTable()
+
+
 def _fold(word: str) -> str:
     """A word as re.IGNORECASE compares it: two words fold alike exactly
     when each matches the other case-insensitively.
@@ -98,46 +117,56 @@ def _fold(word: str) -> str:
     str.lower and str.casefold do not: both part İ and ı from i, and lower
     also parts ſ from s and µ from μ. Each character folds to the least
     member of its re.IGNORECASE class; for ASCII that is its lowercase.
+    Folding keeps the length, so a position in a folded text is the same
+    position in the text.
     """
     if word.isascii():
         return word.lower()
-    folded = []
-    for char in word:
-        low = _sre.unicode_tolower(ord(char))
-        folded.append(chr(min((low,) + _EXTRA_CASES.get(low, ()))))
-    return "".join(folded)
+    return word.translate(_FOLD)
+
+
+def _is_word(char: str) -> bool:
+    """What \\w matches in a str pattern."""
+    return char.isalnum() or char == "_"
+
+
+def _at_boundary(text: str, at: int) -> bool:
+    """Whether \\b holds at a position of the text: a word character on
+    exactly one side of it."""
+    before = at > 0 and _is_word(text[at - 1])
+    return before != (at < len(text) and _is_word(text[at]))
 
 
 class Gazetteer:
-    """Term surfaces, longest first, each with its compiled whole-word,
-    case-insensitive pattern, filed under the longest word it spells.
+    """Term surfaces, longest first, each matched as a whole word and
+    case-insensitively, and filed under the longest word it spells.
 
-    Compiling is the expensive part of matching: Python's own pattern
-    cache holds 512 entries, so a larger gazetteer would miss it on every
-    use. Compile one per build or per engine and reuse it.
+    A surface matches where its folded text (_fold) occurs in the text's
+    folded text with \\b at both ends, judged on the text's own
+    characters; spans are taken left to right without overlap. That is
+    where and what ``re.compile(rf"\\b{re.escape(surface)}\\b",
+    re.IGNORECASE)`` finds with finditer: the pattern compares the text
+    character by character under the same fold. So no surface is compiled
+    to a pattern, and building a Gazetteer costs a fold and a word index
+    per surface.
 
-    Scanning is the other part: every surface's pattern over every text
-    grows as texts x surfaces. A surface can only match a text one of
-    whose words folds (as re.IGNORECASE folds it) to the surface's
-    longest word, because a whole-word match keeps each of the surface's
-    words a whole word of the text. So candidates(text) runs only the
-    patterns filed under the text's own words, and each pattern stays the
-    one definition of a match. Surfaces without a word character, and
-    surfaces holding the one case class that mixes word and non-word
-    characters, are candidates for every text.
+    Scanning every surface over every text would grow as texts x
+    surfaces. A surface can only match a text one of whose words folds to
+    the surface's longest word, because a whole-word match keeps each of
+    the surface's words a whole word of the text. So a text is searched
+    only for the surfaces filed under its own words. Surfaces without a
+    word character, and surfaces holding the one case class that mixes
+    word and non-word characters, are searched for in every text.
     """
 
     def __init__(self, surfaces: Iterable[str]):
         # longest surfaces first so overlapping entries match greedily
         vocab = sorted(set(surfaces), key=lambda s: (-len(s), s))
-        self.patterns: list[tuple[str, re.Pattern]] = [
-            (surface, re.compile(rf"\b{re.escape(surface)}\b", re.IGNORECASE))
-            for surface in vocab
-            if surface.strip()
-        ]
-        self._always: list[int] = []  # positions in self.patterns
+        self.surfaces = [surface for surface in vocab if surface.strip()]
+        self._folded = [_fold(surface) for surface in self.surfaces]
+        self._always: list[int] = []  # positions in self.surfaces
         self._by_word: dict[str, list[int]] = {}
-        for position, (surface, _) in enumerate(self.patterns):
+        for position, surface in enumerate(self.surfaces):
             words = _WORD.findall(surface)
             if not words or _IOTA_CLASS.search(surface):
                 self._always.append(position)
@@ -147,18 +176,29 @@ class Gazetteer:
         # the definition patterns of each matched spelling, compiled once
         self._definitions: dict[str, tuple[re.Pattern, re.Pattern, re.Pattern]] = {}
 
-    def candidates(self, text: str) -> list[tuple[str, re.Pattern]]:
-        """The (surface, pattern) pairs that can match the text, longest
-        first; a match is still whatever the pattern finds."""
+    def _candidates(self, text: str) -> list[int]:
+        """Positions of the surfaces that can match the text, in order."""
         positions = set(self._always)
         for word in {_fold(word) for word in _WORD.findall(text)}:
             positions.update(self._by_word.get(word, ()))
-        return [self.patterns[position] for position in sorted(positions)]
+        return sorted(positions)
+
+    def matches(self, text: str) -> Iterator[tuple[str, int, int]]:
+        """(surface, start, end) of each match in the text: surfaces
+        longest first, each one's spans left to right."""
+        folded = _fold(text)
+        for position in self._candidates(text):
+            surface, needle = self.surfaces[position], self._folded[position]
+            for start in _spans(text, folded, needle):
+                yield surface, start, start + len(needle)
 
     def mentioned(self, text: str) -> list[str]:
         """Surfaces found anywhere in the text, longest first."""
+        folded = _fold(text)
         return [
-            surface for surface, pattern in self.candidates(text) if pattern.search(text)
+            self.surfaces[position]
+            for position in self._candidates(text)
+            if next(_spans(text, folded, self._folded[position]), None) is not None
         ]
 
     def defines(self, spelling: str, text: str) -> bool:
@@ -176,6 +216,19 @@ class Gazetteer:
             self._definitions[spelling] = patterns
         verb, colon, expansion = patterns
         return bool(verb.match(text) or colon.match(text) or expansion.search(text))
+
+
+def _spans(text: str, folded: str, needle: str) -> Iterator[int]:
+    """Start of each whole-word occurrence of a folded needle in the
+    folded text, left to right and without overlap."""
+    at = folded.find(needle)
+    while at >= 0:
+        end = at + len(needle)
+        if _at_boundary(text, at) and _at_boundary(text, end):
+            yield at
+            at = folded.find(needle, end)
+        else:
+            at = folded.find(needle, at + 1)
 
 
 # --- text compilation -------------------------------------------------------
@@ -196,10 +249,10 @@ def compile_text(
 ) -> TextPrimitiveSet:
     """Emit section/paragraph/term nodes and containment/reference edges.
 
-    ``gazetteer`` is a compiled Gazetteer, which compile_corpus builds once
-    for all documents, or plain surfaces, compiled on entry for this one
-    document. Longer surfaces match first, and a match overlapping one
-    already taken in the paragraph is skipped.
+    ``gazetteer`` is a Gazetteer, which compile_corpus builds once for all
+    documents, or plain surfaces, indexed on entry for this one document.
+    Longer surfaces match first, and a match overlapping one already taken
+    in the paragraph is skipped.
 
     Cross-references that name a clause, table, or equation absent from the
     document are reported in diagnostics instead of raising; downstream
@@ -260,26 +313,24 @@ def compile_text(
         frag.add_edge(section_node[block.parent_section], RelationType.CONTAINS, para_id)
 
         covered: list[tuple[int, int]] = []
-        for surface, pattern in gazetteer.candidates(block.text):
-            for m in pattern.finditer(block.text):
-                span = (m.start(), m.end())
-                if any(s < span[1] and span[0] < e for s, e in covered):
-                    continue  # inside a longer term already matched
-                covered.append(span)
-                key = normalize_term(surface)
-                term_id = out.term_ids.get(key)
-                if term_id is None:
-                    term_id = f"{doc.id}:term:{key}"
-                    frag.add_node(
-                        Node(term_id, NodeType.TERM, surface, prov_attrs(block.prov))
-                    )
-                    out.term_ids[key] = term_id
-                if not frag.has_edge(para_id, RelationType.REFERS_TO, term_id):
-                    frag.add_edge(para_id, RelationType.REFERS_TO, term_id)
-                if gazetteer.defines(m.group(0), block.text) and not frag.has_edge(
-                    term_id, RelationType.DEFINES, para_id
-                ):
-                    frag.add_edge(term_id, RelationType.DEFINES, para_id)
+        for surface, start, end in gazetteer.matches(block.text):
+            if any(s < end and start < e for s, e in covered):
+                continue  # inside a longer term already matched
+            covered.append((start, end))
+            key = normalize_term(surface)
+            term_id = out.term_ids.get(key)
+            if term_id is None:
+                term_id = f"{doc.id}:term:{key}"
+                frag.add_node(
+                    Node(term_id, NodeType.TERM, surface, prov_attrs(block.prov))
+                )
+                out.term_ids[key] = term_id
+            if not frag.has_edge(para_id, RelationType.REFERS_TO, term_id):
+                frag.add_edge(para_id, RelationType.REFERS_TO, term_id)
+            if gazetteer.defines(block.text[start:end], block.text) and not frag.has_edge(
+                term_id, RelationType.DEFINES, para_id
+            ):
+                frag.add_edge(term_id, RelationType.DEFINES, para_id)
 
         # structural cross-references
         for m in list(_CLAUSE_REF.finditer(block.text)) + list(

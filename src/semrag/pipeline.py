@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import logging
 import shutil
 import tempfile
@@ -45,6 +44,7 @@ from .doc_model import (
     SourceDocument,
     TableBlock,
     canonical_json_bytes,
+    decode_json,
     validate_corpus,
 )
 from .errors import ChecksumError, FormatVersionError, SchemaError
@@ -55,7 +55,7 @@ from .graph_core import (
 from .layout_compiler import Gazetteer, compile_table, compile_text
 from .llm_clients import Clients, TokenLedger, make_clients, summarize_with
 from .query_engine import (
-    QueryEngine, RetrievalConfig, index_vectors, indexed_ids, retrieval_text
+    INDEXED_TYPES, QueryEngine, RetrievalConfig, index_vectors, indexed_ids, retrieval_text
 )
 from .sem_index import MinimizeResult, materialize_macronodes, sem_minimize
 from .vector_align import (
@@ -135,10 +135,10 @@ def compile_corpus(
             report.dangling_markers,
             report.empty_clauses,
         )
-    patterns = Gazetteer(gazetteer)
+    terms = Gazetteer(gazetteer)
     fragments = []
     for doc in docs:
-        fragments.append(compile_text(doc, patterns).fragment)
+        fragments.append(compile_text(doc, terms).fragment)
         for block in doc.ordered_blocks():
             if isinstance(block, TableBlock):
                 fragments.append(compile_table(doc.id, block).fragment)
@@ -197,8 +197,8 @@ def _index_from_json(obj, graph: TypedGraph) -> MinimizeResult:
     )
 
 
-def _json(blob: bytes):
-    return json.loads(blob.decode("utf-8"))
+def _json(blob: bytes, member: str):
+    return decode_json(blob.decode("utf-8"), member)
 
 
 def _sha256(blob: bytes) -> str:
@@ -361,9 +361,10 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     """Open a bundle: each member is read once, checked against its
     manifest checksum, and decoded from the bytes that were checked. The
     manifest's vector row count must be the graph's indexable node count,
-    checked before the rows are allocated; the rows are in indexed_ids
-    order. The index has an empty dendrogram. Clients made for it keep no
-    token ledger, so that answering from it holds no memory per question.
+    counted before the rows are allocated; the rows are in indexed_ids
+    order, which only the engine sorts. The index has an empty dendrogram.
+    Clients made for it keep no token ledger, so that answering from it
+    holds no memory per question.
 
     The whole open runs with the cyclic garbage collector paused: decoding
     makes no reference cycle, so its passes over the graph being decoded
@@ -371,7 +372,7 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
     """
     with _CollectorPaused():
         src = Path(path)
-        manifest = _json((src / "manifest.json").read_bytes())
+        manifest = _json((src / "manifest.json").read_bytes(), "manifest.json")
         if not isinstance(manifest, dict):
             raise SchemaError("", "bundle manifest is not a JSON object")
         if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
@@ -404,10 +405,11 @@ def load_bundle(path: str | Path, clients: Optional[Clients] = None) -> Bundle:
         # each member's bytes are dropped once decoded, so that no two copies
         # of the graph are held at once
         graph = load_graph(blobs.pop("nodes.jsonl"), blobs.pop("edges.jsonl"))
-        index = _index_from_json(_json(blobs.pop("index.json")), graph)
+        index = _index_from_json(_json(blobs.pop("index.json"), "index.json"), graph)
         counts = manifest.get("counts")
         rows = counts.get("vectors") if isinstance(counts, dict) else None
-        indexable = len(indexed_ids(graph))
+        indexed = set(INDEXED_TYPES)
+        indexable = sum(node.type in indexed for node in graph.nodes.values())
         if type(rows) is not int or rows != indexable:
             raise SchemaError(
                 "/counts/vectors",

@@ -16,11 +16,11 @@ candidates, and the chosen strategy all read that one vector. The med
 route works out each node's expansion neighbours (khop_expand's memo on
 the graph) and its candidate form (QueryEngine._form) once, the first time
 a ball holds it, so it embeds each unindexed operator once per engine,
-not once per question. The gazetteer, compiled
-once per engine, is matched once per retrieval too; the entity-count
-feature and the med route's term anchors share the result. That match
-runs only the patterns of surfaces whose longest word is one of the
-question's words (Gazetteer.candidates), so its cost follows the
+not once per question. The gazetteer, folded and word-indexed once per
+engine and compiled to no regex, is matched once per retrieval too; the
+entity-count feature and the med route's term anchors share the result.
+That match searches the folded question only for the surfaces whose
+longest word is one of the question's words, so its cost follows the
 question's length rather than the gazetteer's size.
 
 One rule table, rule_route, is the router: it reads the four features
@@ -378,7 +378,7 @@ class QueryEngine:
     which the engine searches as they are, without a copy. Either way each
     row holds the bits embed_text gives its node's text. The matrix must
     be exactly len(indexed_ids(g)) by EMBED_DIM.
-    Construction compiles and word-indexes the gazetteer's term surfaces
+    Construction folds and word-indexes the gazetteer's term surfaces
     once, so no question rescans the graph. The cell index (cell_index:
     the cells bound to each header path) is built by the first lookup and
     kept, so an engine that only answers questions never builds it and no

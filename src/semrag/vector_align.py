@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .doc_model import decode_json
 from .errors import (
     DimensionMismatch,
     DivergenceError,
@@ -357,7 +358,7 @@ def _matrix(doc: dict, key: str) -> np.ndarray:
 def load_alignment(blob: bytes) -> AlignResult:
     """The projections save_alignment encoded; a key that is missing or of
     the wrong type raises SchemaError."""
-    doc = json.loads(blob.decode("utf-8"))
+    doc = decode_json(blob.decode("utf-8"), "align.json")
     if not isinstance(doc, dict):
         raise SchemaError("", "align.json is not a JSON object")
     if doc.get("format_version") != ALIGN_FORMAT_VERSION:

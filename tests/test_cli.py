@@ -694,6 +694,58 @@ def test_graph_line_holding_two_records_is_user_error(tmp_path, env, capsys):
     assert err.startswith("error: Extra data: line 1 column")
 
 
+# a JSON value nested deeper than the decoder can recurse
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def test_corpus_document_nested_too_deeply_is_user_error(tmp_path, env, capsys):
+    src = _corpus_dir(tmp_path)
+    (src / "deep.json").write_text(DEEP)
+    code, err = _main(env, capsys, "index", str(src), "--out", str(tmp_path / "out"))
+    assert code == EXIT_USER_ERROR, err
+    assert err == "error: : document nests values too deeply to decode\n"
+
+
+def test_corpus_gazetteer_nested_too_deeply_is_user_error(tmp_path, env, capsys):
+    src = _corpus_dir(tmp_path)
+    (src / "gazetteer.json").write_text(DEEP)
+    code, err = _main(env, capsys, "index", str(src), "--out", str(tmp_path / "out"))
+    assert code == EXIT_USER_ERROR, err
+    assert err == "error: : gazetteer.json nests values too deeply to decode\n"
+
+
+def test_manifest_nested_too_deeply_is_user_error(smoke_bundle, env, capsys):
+    (smoke_bundle / "manifest.json").write_text(DEEP)
+    code, err = _main(env, capsys, "query", str(smoke_bundle), QUESTION)
+    assert code == EXIT_USER_ERROR, err
+    assert err == "error: : manifest.json nests values too deeply to decode\n"
+
+
+@pytest.mark.parametrize(
+    "member, command, message",
+    [
+        ("nodes.jsonl", "stats", "/1: nodes.jsonl line 1"),
+        ("align.json", "query", ": align.json"),
+    ],
+)
+def test_bundle_member_nested_too_deeply_is_user_error(
+    tmp_path, env, capsys, member, command, message
+):
+    """The member's checksum is fixed up, so that its own decoder meets
+    the value."""
+    out = tmp_path / "bundle"
+    built = CliRunner().invoke(
+        cli, ["index", str(_corpus_dir(tmp_path)), "--out", str(out), "--align"]
+    )
+    assert built.exit_code == 0, built.output
+    rest = (out / member).read_bytes().splitlines(keepends=True)[1:]
+    rewrite_member(out, member, b"".join([DEEP.encode() + b"\n", *rest]))
+    args = [command, str(out)] + ([QUESTION] if command == "query" else [])
+    code, err = _main(env, capsys, *args)
+    assert code == EXIT_USER_ERROR, err
+    assert err == f"error: {message} nests values too deeply to decode\n"
+
+
 def _write_goldens() -> None:
     import tempfile
 

@@ -1,10 +1,13 @@
 """Typed multigraph: identity rules, merging, traversal, and persistence."""
 
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import semrag.graph_core as graph_core
 
 from conftest import make_graph, random_graph
 from semrag.errors import ChecksumError, EmptyAnchors, IdCollisionError, SchemaError
@@ -481,3 +484,213 @@ def test_load_then_save_gives_the_bundles_bytes(tmp_path, n_docs):
     if n_docs == 60:  # several parse chunks
         assert len(_lines(blobs[1])) > 2 * 1024
     assert save_graph(load_graph(*blobs)) == blobs
+
+
+# --- the chunked decoder against a line-by-line one ---------------------------
+
+def _line_by_line_records(blob: bytes, member: str, keys: dict[str, type], chunk_size: int):
+    """Each non-blank line of a member as a record, checked one line at a
+    time: the reference load_graph below reads it."""
+    names, kinds = tuple(keys), tuple(keys.values())
+    lines = [
+        (number, line)
+        for number, line in enumerate(blob.decode("utf-8").split("\n"), 1)
+        if line and not line.isspace()
+    ]
+    for start in range(0, len(lines), chunk_size):
+        chunk = lines[start : start + chunk_size]
+        try:
+            values = json.loads("[" + ",".join(line for _, line in chunk) + "]")
+        except (ValueError, RecursionError):
+            values = None
+        if values is None or len(values) != len(chunk):
+            values = (json.loads(line) for _, line in chunk)
+        for (number, _), obj in zip(chunk, values):
+            if type(obj) is not dict:
+                raise SchemaError(f"/{number}", f"{member} line {number} is not a JSON object")
+            if tuple(map(type, map(obj.get, names))) != kinds:
+                key = next(k for k in names if type(obj.get(k)) is not keys[k])
+                raise SchemaError(
+                    f"/{number}/{key}",
+                    f"{member} line {number} {key} is missing or not {keys[key].__name__}",
+                )
+            yield number, obj
+
+
+def _load_line_by_line(nodes_blob: bytes, edges_blob: bytes, chunk_size: int) -> TypedGraph:
+    """The graph decoded one record at a time through add_node and
+    add_edge, each provenance shared by its repr."""
+    graph = TypedGraph()
+    provs: dict[str, object] = {}
+    node_types = {kind.value: kind for kind in NodeType}
+    relations = {rel.value: rel for rel in RelationType}
+
+    def shared(attrs: dict) -> dict:
+        if "prov" in attrs:
+            attrs["prov"] = provs.setdefault(repr(attrs["prov"]), attrs["prov"])
+        return attrs
+
+    node_keys = {"id": str, "type": str, "text": str, "attrs": dict}
+    for number, obj in _line_by_line_records(nodes_blob, "nodes.jsonl", node_keys, chunk_size):
+        kind = node_types.get(obj["type"])
+        if kind is None:
+            raise SchemaError(
+                f"/{number}/type", f"nodes.jsonl holds an unknown type {obj['type']!r}"
+            )
+        try:
+            graph.add_node(Node(obj["id"], kind, obj["text"], shared(obj["attrs"])))
+        except IdCollisionError as exc:
+            raise SchemaError(f"/{number}", f"nodes.jsonl line {number}: {exc}") from None
+    ids = {node_id: node_id for node_id in graph.nodes}
+    edge_keys = {"src": str, "dst": str, "rel": str, "attrs": dict}
+    for number, obj in _line_by_line_records(edges_blob, "edges.jsonl", edge_keys, chunk_size):
+        rel = relations.get(obj["rel"])
+        if rel is None:
+            raise SchemaError(
+                f"/{number}/rel", f"edges.jsonl holds an unknown rel {obj['rel']!r}"
+            )
+        src, dst = obj["src"], obj["dst"]
+        edge = Edge(ids.get(src, src), ids.get(dst, dst), rel, shared(obj["attrs"]))
+        try:
+            graph.add_edge(edge)
+        except ValueError as exc:
+            raise SchemaError(f"/{number}", f"edges.jsonl line {number}: {exc}") from None
+    return graph
+
+
+# provenances that compare equal but encode apart, and one with a -0.0
+PROVS = [
+    {"doc_id": "D1", "page": 1},
+    {"doc_id": "D1", "page": 1.0},
+    {"doc_id": "D1", "page": True},
+    {"doc_id": "D2", "page": 2, "bbox": [0.0, -0.0]},
+]
+# each member's corruptions; "none", "equal-repeat" and "blank-lines" leave
+# the graph valid
+CORRUPTIONS = {
+    "nodes": [
+        "none", "not-an-object", "not-json", "missing-key", "mistyped-key", "unknown-kind",
+        "two-payloads", "equal-repeat", "blank-lines", "two-records",
+    ],
+    "edges": [
+        "none", "not-an-object", "not-json", "missing-key", "mistyped-key", "unknown-kind",
+        "no-endpoint", "blank-lines", "two-records",
+    ],
+}
+
+
+@st.composite
+def corrupted_graph_blobs(draw):
+    """The node and edge lines of a random graph, each member 1 to 3
+    chunks long, with one corruption of one member at a random line (a
+    missing or mistyped key may be one key or several)."""
+    chunk_size = draw(st.integers(2, 5))
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 3 * chunk_size)))]
+    attrs = st.one_of(
+        st.just({}), st.sampled_from(PROVS).map(lambda prov: {"prov": dict(prov)})
+    )
+    records = {
+        "nodes": [
+            {
+                "id": node_id,
+                "type": draw(st.sampled_from(NodeType)).value,
+                "text": draw(st.text(max_size=3)),
+                "attrs": draw(attrs),
+            }
+            for node_id in ids
+        ],
+        "edges": [
+            {
+                "src": draw(st.sampled_from(ids)),
+                "dst": draw(st.sampled_from(ids)),
+                "rel": draw(st.sampled_from(RelationType)).value,
+                "attrs": draw(attrs),
+            }
+            for _ in range(draw(st.integers(1, 3 * chunk_size)))
+        ],
+    }
+    member = draw(st.sampled_from(["nodes", "edges"]))
+    corruption = draw(st.sampled_from(CORRUPTIONS[member]))
+    rows = records[member]
+    at = draw(st.integers(0, len(rows) - 1))
+    record = rows[at]
+    if corruption in ("missing-key", "mistyped-key"):
+        for key in draw(st.lists(st.sampled_from(list(record)), min_size=1, unique=True)):
+            if corruption == "missing-key":
+                del record[key]
+            else:
+                record[key] = draw(st.sampled_from([7, None, [], "x" if key == "attrs" else {}]))
+    elif corruption == "unknown-kind":
+        record["type" if member == "nodes" else "rel"] = "Gadget"
+    elif corruption == "no-endpoint":
+        record[draw(st.sampled_from(["src", "dst"]))] = "nowhere"
+    lines = {name: [json.dumps(r) for r in rs] for name, rs in records.items()}
+    target = lines[member]
+    if corruption == "not-an-object":
+        target[at] = draw(st.sampled_from(["[1]", '"x"', "5", "null"]))
+    elif corruption == "not-json":
+        target[at] = '{"id": '
+    elif corruption in ("two-payloads", "equal-repeat"):
+        again = dict(rows[draw(st.integers(0, at))])
+        if corruption == "two-payloads" and draw(st.booleans()):
+            again["text"] += "!"
+        elif corruption == "two-payloads":
+            again["attrs"] = {**again["attrs"], "other": 1}
+        target.insert(at + 1, json.dumps(again))
+    elif corruption == "blank-lines":
+        for _ in range(draw(st.integers(1, 3))):
+            blank = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+            target.insert(draw(st.integers(0, len(target))), blank)
+    elif corruption == "two-records":
+        target[at] += "," + json.dumps(draw(st.sampled_from(rows)))
+    blobs = tuple("".join(line + "\n" for line in lines[name]).encode() for name in records)
+    return chunk_size, blobs
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args), None
+    except (SchemaError, ValueError) as exc:
+        return None, exc
+
+
+def _shape(g: TypedGraph):
+    """What a loaded graph holds and shares: its bytes, node and edge
+    order, each node's adjacency, which holders share one provenance
+    object, and whether the edges' endpoints are the node keys."""
+    holders = [*g.nodes.values(), *g.edges]
+    first: dict[int, int] = {}
+    sharing = [
+        first.setdefault(id(h.attrs["prov"]), i) if "prov" in h.attrs else None
+        for i, h in enumerate(holders)
+    ]
+    keys = {node_id: node_id for node_id in g.nodes}
+    edge_keys = {id(e): i for i, e in enumerate(g.edges)}
+    return (
+        save_graph(g),
+        list(g.nodes),
+        [(e.src, e.rel, e.dst) for e in g.edges],
+        {nid: [edge_keys[id(e)] for e in g.out_edges[nid]] for nid in g.nodes},
+        {nid: [edge_keys[id(e)] for e in g.in_edges[nid]] for nid in g.nodes},
+        sharing,
+        all(e.src is keys[e.src] and e.dst is keys[e.dst] for e in g.edges),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_graph_blobs())
+def test_load_graph_equals_a_line_by_line_decoder(case):
+    """Chunks checked and built in bulk load what a line-by-line decoder
+    loads, and raise what it raises: the same exception type, path and
+    message, from the earliest bad line, in whichever chunk it falls."""
+    chunk_size, blobs = case
+    expected, refused = _outcome(_load_line_by_line, *blobs, chunk_size)
+    with mock.patch.object(graph_core, "_CHUNK", chunk_size):
+        got, raised = _outcome(load_graph, *blobs)
+    if refused is not None:
+        assert type(raised) is type(refused)
+        assert str(raised) == str(refused)
+        assert getattr(raised, "path", None) == getattr(refused, "path", None)
+    else:
+        assert raised is None, raised
+        assert _shape(got) == _shape(expected)

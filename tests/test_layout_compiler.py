@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -139,7 +140,8 @@ def paragraph_texts(draw):
     st.lists(st.sampled_from(SURFACES), max_size=8),
 )
 def test_term_links_equal_a_loop_over_every_pattern(texts, surfaces):
-    """The word index only skips patterns that cannot match: compile_text
+    """The word index only skips surfaces that cannot match, and the
+    folded search finds what each surface's pattern finds: compile_text
     emits the same term nodes and edges as running every pattern."""
     blocks = [SectionBlock("s1", prov(), 1, "Terms")] + [
         ParagraphBlock(f"p{i}", prov(slot=i + 1), text, "s1")
@@ -147,7 +149,14 @@ def test_term_links_equal_a_loop_over_every_pattern(texts, surfaces):
     ]
     doc = make_doc(blocks)
     indexed = compile_text(doc, gazetteer=surfaces).fragment
-    with mock.patch.object(Gazetteer, "candidates", lambda self, text: self.patterns):
+
+    def every_pattern(self, text):
+        for surface in self.surfaces:
+            pattern = re.compile(rf"\b{re.escape(surface)}\b", re.IGNORECASE)
+            for m in pattern.finditer(text):
+                yield surface, m.start(), m.end()
+
+    with mock.patch.object(Gazetteer, "matches", every_pattern):
         every = compile_text(doc, gazetteer=surfaces).fragment
     assert [(n.id, n.text) for n in indexed.nodes] == [(n.id, n.text) for n in every.nodes]
     assert [(e.src, e.rel, e.dst) for e in indexed.edges] == [

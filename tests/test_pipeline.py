@@ -314,9 +314,10 @@ def test_plain_manifest_listing_an_alignment_fails_closed(tmp_path):
         load_bundle(tmp_path)
 
 
-def test_a_build_compiles_each_gazetteer_pattern_once(monkeypatch):
-    """Past the 512 patterns Python's re cache holds, a per-document
-    compile would miss the cache for every surface of every document."""
+def test_a_build_compiles_no_gazetteer_pattern(monkeypatch):
+    """The gazetteer matches folded text, so no surface is compiled to a
+    pattern; past the 512 patterns Python's re cache holds, a compile per
+    document would miss the cache for every surface of every document."""
     corpus = synthetic_corpus(n_docs=3, seed=0)
     surfaces = list(corpus.gazetteer) + [f"filler term {i}" for i in range(600)]
     patterns = {rf"\b{re.escape(s)}\b" for s in surfaces}
@@ -330,7 +331,23 @@ def test_a_build_compiles_each_gazetteer_pattern_once(monkeypatch):
     monkeypatch.setattr(re, "compile", counting)
     compile_corpus(corpus.docs, surfaces)
     assert len(patterns) > 512
-    assert {p: compiled[p] for p in patterns} == {p: 1 for p in patterns}
+    assert {p: compiled[p] for p in patterns} == {p: 0 for p in patterns}
+
+
+def test_an_open_compiles_no_regex(bundle50, monkeypatch):
+    """Opening a bundle and making its engine call re.compile nowhere:
+    the gazetteer built for the engine compiles no pattern per surface."""
+    calls: list = []
+    original = re.compile
+
+    def counting(pattern, flags=0):
+        calls.append(pattern)
+        return original(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", counting)
+    engine = make_engine(load_bundle(bundle50.path))
+    assert calls == []
+    assert len(engine._gazetteer.surfaces) > 0
 
 
 # --- the cyclic collector -------------------------------------------------------

@@ -4,13 +4,14 @@ implementations they replaced, and gold hit@k floors of routed retrieval."""
 
 from __future__ import annotations
 
+import _sre
 import dataclasses
 import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semrag.layout_compiler as layout_compiler
@@ -250,7 +251,7 @@ CASE_PARTNERS = [
 
 
 def per_surface_hits(gazetteer: dict[str, str], text: str) -> tuple[set[str], set[str]]:
-    """The matcher the compiled Gazetteer replaced: one re.search per
+    """The matcher the word-indexed Gazetteer replaced: one re.search per
     surface, longest first, on every call."""
     nodes: set[str] = set()
     surfaces: set[str] = set()
@@ -316,6 +317,37 @@ def test_gazetteer_matches_equal_the_per_surface_search(text):
     assert engine.entity_count(text) == len(nodes) + len(acronyms)
     features = engine.features(text, engine.embed_query(text))
     assert features[1] == float(len(nodes) + len(acronyms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(OVERLAPPING + PUNCTUATED + CASE_PARTNERS), max_size=8),
+    mention_texts(),
+)
+@example(["ACK-ack"], "ack-ACK-ack-ACK-ack")  # matches that would overlap
+def test_gazetteer_spans_equal_each_surfaces_pattern(surfaces, text):
+    """The folded search finds, surface by surface, what the surface's
+    whole-word, case-insensitive pattern finds: the same surfaces, and the
+    same spans, left to right and without overlap."""
+    gazetteer = Gazetteer(surfaces)
+    ordered = sorted({s for s in surfaces if s.strip()}, key=lambda s: (-len(s), s))
+    patterns = [(s, re.compile(rf"\b{re.escape(s)}\b", re.IGNORECASE)) for s in ordered]
+    assert gazetteer.mentioned(text) == [s for s, pattern in patterns if pattern.search(text)]
+    assert list(gazetteer.matches(text)) == [
+        (s, m.start(), m.end()) for s, pattern in patterns for m in pattern.finditer(text)
+    ]
+
+
+def test_fold_table_keeps_only_code_points_that_fold_to_another():
+    """Every code point folds to the least member of its re.IGNORECASE
+    class, and the translate table shared by every fold holds only code
+    points that fold to another, so folding any text cannot grow it
+    beyond Unicode's case mappings."""
+    every = "".join(map(chr, [*range(0xD800), *range(0xE000, 0x110000)]))
+    lows = map(_sre.unicode_tolower, map(ord, every))
+    least = [min((low,) + layout_compiler._EXTRA_CASES.get(low, ())) for low in lows]
+    assert layout_compiler._fold(every) == "".join(map(chr, least))
+    assert all(code != folded for code, folded in layout_compiler._FOLD.items())
 
 
 @pytest.mark.parametrize(
